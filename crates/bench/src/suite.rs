@@ -28,6 +28,7 @@
 //! still applying the throughput-regression gate. They are excluded from
 //! `totals`, which stays a pure DES number.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ccdb_core::{
@@ -147,7 +148,11 @@ fn run_server_case(
     des_case: &str,
     des_events_per_sec: f64,
 ) -> Json {
-    let dir = std::env::temp_dir().join(format!("ccdb-bench-{name}-{}", std::process::id()));
+    // Unique per call, not just per process: tests in one binary run
+    // cases concurrently, and a shared port file would cross-wire them.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ccdb-bench-{name}-{}-{run}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
     let port_file = dir.join("port");
     let trace_path = dir.join("trace.jsonl");

@@ -12,12 +12,14 @@
 //!   admission, parked lock continuations, and pending commits. A pure
 //!   function of the message sequence.
 //! - [`shard`] — the page-hash–sharded engine: decisions run serially
-//!   under one short control lock (preserving the DES-oracle lineage),
-//!   while page-image materialization, frame encoding, and trace
-//!   rendering parallelize across per-shard stores.
-//! - [`reactor`] — the default server: a nonblocking readiness loop with
-//!   per-connection read/write buffers, render workers, bounded queues
-//!   for backpressure, and `ccdb.wire_trace/v2` (shard-tagged) traces.
+//!   through one engine (preserving the DES-oracle lineage), and
+//!   rendering — commit-image checks, page images, frames, trace lines —
+//!   follows each decision. Shards partition the page-image stores and
+//!   tag trace lines; they add no parallelism.
+//! - [`reactor`] — the default server: one thread blocking in `poll(2)`
+//!   on the listener and every connection, deciding and rendering each
+//!   message inline, with per-connection read/write buffers and
+//!   backpressure, and `ccdb.wire_trace/v2` (shard-tagged) traces.
 //! - [`server`] — serve entry points; the legacy threaded `std::net`
 //!   server (`--threaded`) keeps writing `ccdb.wire_trace/v1`.
 //! - [`client`] — a load driver running the repository's workload

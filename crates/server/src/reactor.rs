@@ -1,51 +1,94 @@
-//! The default page-server: a nonblocking readiness loop over plain
-//! `std::net`, with render work fanned out across engine shards.
+//! The default page-server: a single-threaded readiness loop over plain
+//! `std::net` sockets, blocking in `poll(2)`.
 //!
-//! One reactor thread owns every socket. Each sweep it accepts new
-//! connections, reads whatever bytes are available into per-connection
-//! [`FrameReader`]s (tolerating arbitrarily fragmented frames), runs
-//! each complete message through the [`ShardedEngine`]'s short control
-//! section *inline* — decisions are cheap and serializing them is what
-//! makes the trace replayable — and hands the resulting [`Step`] to a
-//! render worker. The workers (one per engine shard plus one for wide
-//! messages) do the heavy part in parallel: materializing real page
-//! images, encoding frames, rendering trace lines.
+//! One reactor thread owns the listener and every connection, and
+//! sleeps in `poll` until one of them is ready. A connection asks for
+//! `POLLIN` unless it is closing or its writer backlog is above a
+//! high-water mark, and for `POLLOUT` while its [`FrameWriter`] holds
+//! bytes the socket would not take. Readable bytes go into a per-connection
+//! [`FrameReader`] (tolerating arbitrarily fragmented frames), and each
+//! complete message is handled inline: [`ShardedEngine::step`] decides
+//! it, [`ShardedEngine::render`] verifies commit images, materializes
+//! page images and encodes frames, and the frames are queued straight
+//! into the destination writers. Because every message is decided and
+//! rendered in one place, in order, per-client send order and the
+//! `ccdb.wire_trace/v2` line order are simply the order of the loop.
 //!
-//! Order is restored at the edges. Outgoing frames carry per-client
-//! send sequence numbers assigned under control; the reactor holds them
-//! in per-client reorder buffers and releases only the contiguous
-//! prefix into each connection's [`FrameWriter`], which absorbs short
-//! writes. Trace lines carry the global `seq` and drain through a
-//! reorder buffer into the `ccdb.wire_trace/v2` file in exactly the
-//! decision order.
-//!
-//! Backpressure is explicit instead of unbounded channels: a
-//! connection stops being read while its writer backlog is above a
-//! high-water mark, and the whole reactor stops reading while too many
-//! render jobs are in flight.
+//! Backpressure is structural: a slow consumer stops being read while
+//! its own backlog is high, so it slows its own intake instead of
+//! growing a queue, and everyone else keeps being served.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::Duration;
+use std::os::fd::AsRawFd;
+use std::time::{Duration, Instant};
 
 use ccdb_lock::ClientId;
 use ccdb_model::{table5_database, SystemParams};
+use ccdb_proto::C2S;
 
 use crate::codec::{encode_frame, Frame, FrameReader, FrameWriter};
-use crate::server::{write_port_file, ServeOptions};
-use crate::shard::{OutFrame, ShardedEngine, Step};
+use crate::server::{write_port_file, ServeOptions, ONCE_START_DEADLINE};
+use crate::shard::ShardedEngine;
 use crate::trace::{TraceHeader, TraceWriter};
 
 /// Stop reading a connection while its writer backlog exceeds this.
 const WRITER_HIGH: usize = 1 << 20;
-/// Stop reading everything while this many render jobs are in flight.
-const JOBS_CAP: usize = 1024;
-/// Per-connection read budget per sweep (fairness, not correctness).
-const READS_PER_SWEEP: usize = 4;
+/// Per-connection read budget per wake-up (fairness, not correctness).
+const READS_PER_WAKE: usize = 4;
+
+#[cfg(unix)]
+mod sys {
+    use std::os::raw::{c_int, c_short};
+
+    pub const POLLIN: c_short = 0x1;
+    pub const POLLOUT: c_short = 0x4;
+    pub const POLLERR: c_short = 0x8;
+    pub const POLLHUP: c_short = 0x10;
+
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    #[allow(non_camel_case_types)]
+    type nfds_t = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    #[allow(non_camel_case_types)]
+    type nfds_t = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: nfds_t, timeout: c_int) -> c_int;
+    }
+
+    /// Block until a descriptor in `fds` is ready or `timeout_ms`
+    /// passes (negative: no timeout). `EINTR` counts as a spurious
+    /// wake-up with nothing ready.
+    pub fn wait(fds: &mut [PollFd], timeout_ms: c_int) -> std::io::Result<()> {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd records, and `nfds` is exactly its length,
+        // so the kernel reads and writes only inside it for the call.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout_ms) };
+        if n >= 0 {
+            return Ok(());
+        }
+        let e = std::io::Error::last_os_error();
+        if e.kind() == std::io::ErrorKind::Interrupted {
+            fds.iter_mut().for_each(|f| f.revents = 0);
+            return Ok(());
+        }
+        Err(e)
+    }
+}
+
+#[cfg(not(unix))]
+compile_error!("the reactor page-server needs poll(2)");
+
+use sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 struct Conn {
     sock: TcpStream,
@@ -57,11 +100,6 @@ struct Conn {
     closing: bool,
     /// Socket is unusable; remove without draining.
     broken: bool,
-    /// The engine has been told this client left.
-    disconnected: bool,
-    /// Snapshot of the client's total send count at disconnect; the
-    /// connection lingers until the egress stream catches up to it.
-    final_send: Option<u64>,
 }
 
 impl Conn {
@@ -73,86 +111,163 @@ impl Conn {
             slot: None,
             closing: false,
             broken: false,
-            disconnected: false,
-            final_send: None,
         }
+    }
+
+    fn live(&self) -> bool {
+        !self.closing && !self.broken
+    }
+
+    /// The readiness this connection waits for.
+    fn interest(&self) -> i16 {
+        let mut ev = 0;
+        if self.live() && self.writer.pending() <= WRITER_HIGH {
+            ev |= POLLIN;
+        }
+        if self.writer.pending() > 0 {
+            ev |= POLLOUT;
+        }
+        ev
     }
 }
 
-struct WorkerState {
-    jobs: VecDeque<Step>,
-    shutdown: bool,
+struct Reactor {
+    engine: ShardedEngine,
+    trace: Option<TraceWriter<BufWriter<File>>>,
+    conns: Vec<Conn>,
+    clients: u32,
+    page_size: u32,
+    /// The encoded `HelloAck`, the same for every session.
+    ack: Vec<u8>,
+    payload_bad: u64,
 }
 
-struct WorkerQueue {
-    state: Mutex<WorkerState>,
-    cv: Condvar,
-}
-
-impl WorkerQueue {
-    fn new() -> WorkerQueue {
-        WorkerQueue {
-            state: Mutex::new(WorkerState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
+impl Reactor {
+    /// Decide one message (`None`: a disconnect), render it, record its
+    /// trace line, and queue its frames on the live destinations. Frames
+    /// for departed or never-connected slots are dropped.
+    fn step(&mut self, from: ClientId, msg: Option<C2S>, payload: Vec<u8>) -> io::Result<()> {
+        let step = self.engine.step(from, msg, payload);
+        let r = self.engine.render(&step);
+        if !r.payload_ok {
+            self.payload_bad += 1;
+            eprintln!(
+                "ccdb-server: commit payload image mismatch at seq {}",
+                step.seq
+            );
         }
-    }
-}
-
-struct Done {
-    seq: u64,
-    line: Option<String>,
-    outs: Vec<OutFrame>,
-    payload_ok: bool,
-}
-
-fn worker_loop(
-    engine: Arc<ShardedEngine>,
-    queue: Arc<WorkerQueue>,
-    done: Arc<Mutex<VecDeque<Done>>>,
-) {
-    loop {
-        let step = {
-            let mut st = queue.state.lock().expect("worker queue poisoned");
-            loop {
-                if let Some(s) = st.jobs.pop_front() {
-                    break Some(s);
-                }
-                if st.shutdown {
-                    break None;
-                }
-                st = queue.cv.wait(st).expect("worker queue poisoned");
+        if let (Some(tw), Some(line)) = (self.trace.as_mut(), r.line) {
+            tw.record_line(&line)?;
+        }
+        for o in r.outs {
+            if let Some(c) = self
+                .conns
+                .iter_mut()
+                .find(|c| c.slot == Some(o.to) && c.live())
+            {
+                c.writer.queue(&o.bytes);
             }
-        };
-        let Some(step) = step else { return };
-        let r = engine.render(&step);
-        done.lock().expect("done queue poisoned").push_back(Done {
-            seq: step.seq,
-            line: r.line,
-            outs: r.outs,
-            payload_ok: r.payload_ok,
-        });
+        }
+        Ok(())
     }
-}
 
-fn dispatch(queues: &[Arc<WorkerQueue>], shards: u32, jobs_in_flight: &mut usize, step: Step) {
-    *jobs_in_flight += 1;
-    let w = step.shard.map_or(shards as usize, |s| s as usize);
-    let mut st = queues[w].state.lock().expect("worker queue poisoned");
-    st.jobs.push_back(step);
-    queues[w].cv.notify_one();
+    /// Take connection `i` out of service — draining its queued writes
+    /// first unless `broken` — and tell the engine its client left.
+    fn depart(&mut self, i: usize, broken: bool) -> io::Result<()> {
+        let c = &mut self.conns[i];
+        let was_live = c.live();
+        if broken {
+            c.broken = true;
+        } else {
+            c.closing = true;
+        }
+        match c.slot {
+            Some(slot) if was_live => self.step(ClientId(slot), None, Vec::new()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Read what connection `i` has ready and handle every complete
+    /// frame in arrival order.
+    fn read(&mut self, i: usize, buf: &mut [u8]) -> io::Result<()> {
+        let mut eof = false;
+        for _ in 0..READS_PER_WAKE {
+            match self.conns[i].sock.read(buf) {
+                Ok(0) => {
+                    eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    self.conns[i].reader.push(&buf[..n]);
+                    if n < buf.len() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    eof = true;
+                    break;
+                }
+            }
+        }
+        let ps = self.page_size;
+        loop {
+            let (frame, payload) = match self.conns[i].reader.next_frame(ps) {
+                Ok(Some(f)) => f,
+                Ok(None) => break,
+                Err(_) => return self.depart(i, false),
+            };
+            match (self.conns[i].slot, frame) {
+                (None, Frame::Hello { client }) => {
+                    if client >= self.clients || self.conns.iter().any(|c| c.slot == Some(client)) {
+                        return self.depart(i, false);
+                    }
+                    let c = &mut self.conns[i];
+                    c.slot = Some(client);
+                    // Queued before any engine send to this client, the
+                    // first of which can only follow a later C2S.
+                    c.writer.queue(&self.ack);
+                }
+                (Some(slot), Frame::C2S(msg)) => self.step(ClientId(slot), Some(msg), payload)?,
+                // Bye, a frame before Hello, or a session frame
+                // mid-stream all end the session.
+                _ => return self.depart(i, false),
+            }
+        }
+        if eof {
+            self.depart(i, false)?;
+        }
+        Ok(())
+    }
+
+    /// Write queued bytes until each socket would block; a dead socket
+    /// turns into a disconnect.
+    fn flush(&mut self) -> io::Result<()> {
+        for i in 0..self.conns.len() {
+            let c = &mut self.conns[i];
+            if c.broken || c.writer.pending() == 0 {
+                continue;
+            }
+            if c.writer.flush_to(&mut c.sock).is_err() {
+                self.depart(i, true)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Run the reactor page-server until interrupted (or, with `once`,
-/// until the last client leaves and every in-flight render drains).
+/// until the last client leaves and its replies have drained).
 /// Returns the number of commits processed.
 pub fn serve_reactor(opts: &ServeOptions) -> io::Result<u64> {
-    let sys = SystemParams::table5();
-    let page_size = sys.page_size;
+    serve_within(opts, ONCE_START_DEADLINE)
+}
+
+fn serve_within(opts: &ServeOptions, start_deadline: Duration) -> io::Result<u64> {
+    let page_size = SystemParams::table5().page_size;
     let shards = opts.engine_shards.max(1);
-    let engine = Arc::new(ShardedEngine::new(
+    let engine = ShardedEngine::new(
         opts.algorithm,
         opts.tuning,
         opts.clients,
@@ -162,8 +277,8 @@ pub fn serve_reactor(opts: &ServeOptions) -> io::Result<u64> {
         page_size,
         opts.trace.is_some(),
         table5_database(),
-    ));
-    let mut trace = match &opts.trace {
+    );
+    let trace = match &opts.trace {
         Some(path) => {
             let header = TraceHeader {
                 algorithm: opts.algorithm,
@@ -184,6 +299,7 @@ pub fn serve_reactor(opts: &ServeOptions) -> io::Result<u64> {
 
     let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
     listener.set_nonblocking(true)?;
+    let listening = Instant::now();
     let addr = listener.local_addr()?;
     if let Some(pf) = &opts.port_file {
         write_port_file(pf, addr.port())?;
@@ -191,286 +307,113 @@ pub fn serve_reactor(opts: &ServeOptions) -> io::Result<u64> {
     println!("ccdb-server: {} on {addr}", opts.algorithm.label());
     io::stdout().flush().ok();
 
-    // One render worker per shard plus one for wide messages.
-    let done: Arc<Mutex<VecDeque<Done>>> = Arc::new(Mutex::new(VecDeque::new()));
-    let queues: Vec<Arc<WorkerQueue>> =
-        (0..=shards).map(|_| Arc::new(WorkerQueue::new())).collect();
-    let workers: Vec<_> = queues
-        .iter()
-        .map(|q| {
-            let engine = Arc::clone(&engine);
-            let q = Arc::clone(q);
-            let done = Arc::clone(&done);
-            thread::spawn(move || worker_loop(engine, q, done))
-        })
-        .collect();
-
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut slot_of: HashMap<u32, usize> = HashMap::new();
-    let mut next_send: Vec<u64> = vec![0; opts.clients as usize];
-    let mut pending_out: Vec<BTreeMap<u64, Vec<u8>>> =
-        (0..opts.clients).map(|_| BTreeMap::new()).collect();
-    let mut trace_buf: BTreeMap<u64, String> = BTreeMap::new();
-    let mut trace_next: u64 = 1;
-    let mut jobs_in_flight: usize = 0;
-    let mut payload_bad: u64 = 0;
+    let mut r = Reactor {
+        engine,
+        trace,
+        conns: Vec::new(),
+        clients: opts.clients,
+        page_size,
+        ack: encode_frame(
+            &Frame::HelloAck {
+                alg: opts.algorithm.label().to_string(),
+                page_size,
+            },
+            page_size,
+        ),
+        payload_bad: 0,
+    };
     let mut ever_connected = false;
-    let mut idle: u32 = 0;
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut buf = [0u8; 16 * 1024];
 
-    let result: io::Result<()> = 'outer: loop {
-        let mut did_work = false;
-
-        // Accept.
-        loop {
-            match listener.accept() {
-                Ok((sock, _peer)) => {
-                    sock.set_nonblocking(true)?;
-                    sock.set_nodelay(true).ok();
-                    ever_connected = true;
-                    did_work = true;
-                    conns.push(Conn::new(sock));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => break 'outer Err(e),
-            }
-        }
-
-        // Read and parse, unless backpressure says otherwise.
-        if jobs_in_flight < JOBS_CAP {
-            for (i, c) in conns.iter_mut().enumerate() {
-                if c.closing || c.broken || c.writer.pending() > WRITER_HIGH {
-                    continue;
-                }
-                let mut eof = false;
-                let mut protocol_err = false;
-                for _ in 0..READS_PER_SWEEP {
-                    match c.sock.read(&mut buf) {
-                        Ok(0) => {
-                            eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            c.reader.push(&buf[..n]);
-                            did_work = true;
-                            if n < buf.len() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            eof = true;
-                            break;
-                        }
-                    }
-                }
-                loop {
-                    match c.reader.next_frame(page_size) {
-                        Ok(Some((frame, payload))) => {
-                            did_work = true;
-                            match (c.slot, frame) {
-                                (None, Frame::Hello { client }) => {
-                                    if client >= opts.clients || slot_of.contains_key(&client) {
-                                        protocol_err = true;
-                                        break;
-                                    }
-                                    c.slot = Some(client);
-                                    slot_of.insert(client, i);
-                                    // Queued straight into the writer, so the
-                                    // ack precedes any engine send (the first
-                                    // of which can only follow a later C2S).
-                                    let ack = encode_frame(
-                                        &Frame::HelloAck {
-                                            alg: opts.algorithm.label().to_string(),
-                                            page_size,
-                                        },
-                                        page_size,
-                                    );
-                                    c.writer.queue(&ack);
-                                }
-                                (None, _) => {
-                                    protocol_err = true;
-                                    break;
-                                }
-                                (Some(slot), Frame::C2S(msg)) => {
-                                    let step = engine.step(ClientId(slot), Some(msg), payload);
-                                    dispatch(&queues, shards, &mut jobs_in_flight, step);
-                                }
-                                (Some(_), Frame::Bye) => {
-                                    eof = true;
-                                    break;
-                                }
-                                (Some(_), _) => {
-                                    protocol_err = true;
-                                    break;
-                                }
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            protocol_err = true;
-                            break;
-                        }
-                    }
-                }
-                if eof || protocol_err {
-                    if let Some(slot) = c.slot {
-                        if !c.disconnected {
-                            c.disconnected = true;
-                            let step = engine.step(ClientId(slot), None, Vec::new());
-                            c.final_send = Some(step.sends_to_from);
-                            dispatch(&queues, shards, &mut jobs_in_flight, step);
-                        }
-                        c.closing = true;
-                    } else {
-                        c.broken = true;
-                    }
-                }
-            }
-        }
-
-        // Collect finished renders.
-        let batch = {
-            let mut dq = done.lock().expect("done queue poisoned");
-            std::mem::take(&mut *dq)
-        };
-        for d in batch {
-            jobs_in_flight -= 1;
-            did_work = true;
-            if !d.payload_ok {
-                payload_bad += 1;
-                eprintln!(
-                    "ccdb-server: commit payload image mismatch at seq {}",
-                    d.seq
-                );
-            }
-            if let Some(line) = d.line {
-                trace_buf.insert(d.seq, line);
-            }
-            for o in d.outs {
-                pending_out[o.to as usize].insert(o.send_seq, o.bytes);
-            }
-        }
-
-        // Release each client's contiguous egress prefix. Frames for
-        // departed (or never-connected) slots are discarded, but their
-        // sequence numbers still advance so drains terminate.
-        for slot in 0..opts.clients as usize {
-            while let Some(bytes) = pending_out[slot].remove(&next_send[slot]) {
-                next_send[slot] += 1;
-                did_work = true;
-                if let Some(&ci) = slot_of.get(&(slot as u32)) {
-                    let c = &mut conns[ci];
-                    if !c.closing && !c.broken {
-                        c.writer.queue(&bytes);
-                    }
-                }
-            }
-        }
-
-        // Trace lines drain in global decision order.
-        if let Some(tw) = trace.as_mut() {
-            while let Some(line) = trace_buf.remove(&trace_next) {
-                if let Err(e) = tw.record_line(&line) {
-                    break 'outer Err(e);
-                }
-                trace_next += 1;
-                did_work = true;
-            }
-        }
-
-        // Flush writers; a dead socket turns into a disconnect.
-        for c in conns.iter_mut() {
-            if c.broken || c.writer.pending() == 0 {
-                continue;
-            }
-            match c.writer.flush_to(&mut c.sock) {
-                Ok(n) => {
-                    if n > 0 {
-                        did_work = true;
-                    }
-                }
-                Err(_) => {
-                    c.broken = true;
-                    if let Some(slot) = c.slot {
-                        if !c.disconnected {
-                            c.disconnected = true;
-                            let step = engine.step(ClientId(slot), None, Vec::new());
-                            c.final_send = Some(step.sends_to_from);
-                            dispatch(&queues, shards, &mut jobs_in_flight, step);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Retire connections that are fully drained (or dead).
-        let mut removed = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let c = &conns[i];
-            let drained = c.closing
-                && c.disconnected
-                && c.writer.pending() == 0
-                && c.final_send
-                    .zip(c.slot)
-                    .is_some_and(|(f, s)| next_send[s as usize] >= f);
-            let dead = c.broken && (c.disconnected || c.slot.is_none());
-            if drained || dead {
-                conns.swap_remove(i);
-                removed = true;
-                did_work = true;
-            } else {
-                i += 1;
-            }
-        }
-        if removed {
-            slot_of.clear();
-            for (i, c) in conns.iter().enumerate() {
-                if let Some(s) = c.slot {
-                    slot_of.insert(s, i);
-                }
-            }
-        }
-
-        if opts.once && ever_connected && conns.is_empty() && jobs_in_flight == 0 {
-            break Ok(());
-        }
-
-        // Adaptive idle backoff: yield first, then sleep up to ~2ms.
-        if did_work {
-            idle = 0;
+    loop {
+        fds.clear();
+        fds.push(PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        fds.extend(r.conns.iter().map(|c| PollFd {
+            fd: c.sock.as_raw_fd(),
+            events: c.interest(),
+            revents: 0,
+        }));
+        let timeout_ms = if opts.once && !ever_connected {
+            let left = start_deadline
+                .checked_sub(listening.elapsed())
+                .filter(|d| !d.is_zero())
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "no client connected before the start-up deadline",
+                    )
+                })?;
+            left.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
         } else {
-            idle += 1;
-            if idle < 4 {
-                thread::yield_now();
-            } else {
-                let us = 100u64 << (idle - 4).min(5);
-                thread::sleep(Duration::from_micros(us.min(2000)));
+            -1
+        };
+        sys::wait(&mut fds, timeout_ms)?;
+
+        // Accept. New connections join the end of `conns`, so the
+        // indices below still match the polled descriptors.
+        if fds[0].revents != 0 {
+            loop {
+                match listener.accept() {
+                    Ok((sock, _peer)) => {
+                        sock.set_nonblocking(true)?;
+                        sock.set_nodelay(true).ok();
+                        ever_connected = true;
+                        r.conns.push(Conn::new(sock));
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                }
             }
         }
-    };
 
-    // Shut down render workers.
-    for q in &queues {
-        let mut st = q.state.lock().expect("worker queue poisoned");
-        st.shutdown = true;
-        q.cv.notify_all();
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-    result?;
+        // Errors and hang-ups surface through the read, or through the
+        // flush for a connection that is no longer read.
+        for (i, fd) in fds[1..].iter().enumerate() {
+            if fd.revents & (POLLIN | POLLERR | POLLHUP) != 0 && r.conns[i].live() {
+                r.read(i, &mut buf)?;
+            }
+        }
+        r.flush()?;
 
-    let (messages, commits, aborts) = engine.totals();
-    if let Some(tw) = &mut trace {
+        // Retire connections that are drained or dead.
+        r.conns
+            .retain(|c| !(c.broken || c.closing && c.writer.pending() == 0));
+
+        if opts.once && ever_connected && r.conns.is_empty() {
+            break;
+        }
+    }
+
+    let (messages, commits, aborts) = r.engine.totals();
+    if let Some(tw) = &mut r.trace {
         tw.finish(messages, commits, aborts)?;
     }
-    if payload_bad > 0 {
-        eprintln!("ccdb-server: {payload_bad} commit payload image mismatches");
+    if r.payload_bad > 0 {
+        eprintln!(
+            "ccdb-server: {} commit payload image mismatches",
+            r.payload_bad
+        );
     }
     println!("ccdb-server: done — {messages} messages, {commits} commits, {aborts} aborts");
     Ok(commits)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccdb_proto::Algorithm;
+
+    #[test]
+    fn once_gives_up_when_no_client_connects() {
+        let mut opts = ServeOptions::new(Algorithm::Certification { inter: false });
+        opts.once = true;
+        let err = serve_within(&opts, Duration::from_millis(50)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    }
 }

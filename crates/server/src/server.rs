@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ccdb_lock::ClientId;
 use ccdb_model::{table5_database, SystemParams};
@@ -52,7 +52,8 @@ pub struct ServeOptions {
     pub port: u16,
     /// Record a `ccdb.wire_trace/v1` JSONL trace here.
     pub trace: Option<PathBuf>,
-    /// Exit once every connected client has disconnected.
+    /// Exit once every connected client has disconnected. Fails with
+    /// `TimedOut` if no client connects within a minute of listening.
     pub once: bool,
     /// Write the bound port (decimal, newline) here once listening.
     /// Written atomically (temp file + rename), so a reader never sees
@@ -84,6 +85,10 @@ impl ServeOptions {
         }
     }
 }
+
+/// With `once`, give up if no client has connected this long after the
+/// listener opened, so a missing client cannot hang its caller forever.
+pub(crate) const ONCE_START_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Atomically publish the bound port: write a temp file next to the
 /// target, then rename it into place. Readers polling for the file can
@@ -202,6 +207,7 @@ fn serve_threaded(opts: &ServeOptions) -> io::Result<u64> {
         None => None,
     };
     let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
+    let listening = Instant::now();
     let addr = listener.local_addr()?;
     if let Some(pf) = &opts.port_file {
         write_port_file(pf, addr.port())?;
@@ -239,10 +245,14 @@ fn serve_threaded(opts: &ServeOptions) -> io::Result<u64> {
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if opts.once
-                    && ever_connected.load(Ordering::SeqCst)
-                    && active.load(Ordering::SeqCst) == 0
-                {
+                if opts.once && !ever_connected.load(Ordering::SeqCst) {
+                    if listening.elapsed() >= ONCE_START_DEADLINE {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "no client connected before the start-up deadline",
+                        ));
+                    }
+                } else if opts.once && active.load(Ordering::SeqCst) == 0 {
                     break;
                 }
                 thread::sleep(Duration::from_millis(5));

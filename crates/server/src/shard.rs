@@ -1,22 +1,23 @@
 //! The page-hash–sharded engine behind the reactor server.
 //!
-//! The design is *control-first*: every decision-relevant state change
-//! runs under one short control lock wrapping the serial [`Engine`],
-//! which assigns each message a dense global sequence number — the
-//! server's linearization order. What the shards parallelize is
-//! everything *after* the decision: materializing real page images,
-//! encoding outgoing frames, and rendering the trace line, all of which
-//! dwarf the decision work for payload-carrying traffic. Pages are
-//! partitioned across per-shard [`PageStore`]s by the repo-wide
-//! [`page_shard`] hash (the same discipline as the sharded lock table),
-//! so payload work on independent pages never takes the same lock.
+//! Every decision runs through the serial [`Engine`] under one control
+//! lock, which assigns each message a dense global sequence number —
+//! the server's linearization order — and stamps the cross-shard commit
+//! order. [`ShardedEngine::render`] then does the payload work for that
+//! decision: verifying and installing commit images, materializing real
+//! page images, encoding outgoing frames, and rendering the trace line.
 //!
-//! This split is what keeps the oracle lineage intact: because the
-//! decisions themselves are made by the unmodified serial engine in
+//! Shards mean two things only. Pages are partitioned across per-shard
+//! [`PageStore`]s by the repo-wide [`page_shard`] hash (the same
+//! discipline as the sharded lock table), and every `ccdb.wire_trace/v2`
+//! line carries its message's shard tag. The reactor renders each step
+//! inline, right after deciding it, so shards add no parallelism.
+//!
+//! Because the decisions are made by the unmodified serial engine in
 //! sequence order, `ccdb replay` re-executes a sharded (v2) trace
 //! through that same DES-validated engine — the per-shard streams merge
-//! by global `seq`, and zero diffs mean the parallel server made
-//! byte-for-byte the decisions the simulator would have made.
+//! by global `seq`, and zero diffs mean the server made byte-for-byte
+//! the decisions the simulator would have made.
 
 use std::sync::Mutex;
 
@@ -51,8 +52,8 @@ pub fn shard_of_msg(msg: Option<&C2S>, shards: u32) -> Option<u32> {
 /// hand each faithful image to `install` iff the commit actually
 /// installed in this step. Returns false on any byte mismatch (the
 /// message still took effect — the engine already decided — but the
-/// server flags the corruption). Shared by the reactor's render workers
-/// and the threaded server.
+/// server flags the corruption). Shared by [`ShardedEngine::render`] and
+/// the threaded server.
 pub(crate) fn verify_install_commit(
     msg: Option<&C2S>,
     eff: &Effects,
@@ -88,8 +89,7 @@ pub(crate) fn verify_install_commit(
 /// Encode one outgoing message, materializing page images through
 /// `read` for payload-carrying sends. `page` is the message's page from
 /// [`Effects::send_pages`] (`PageData` replies don't name it on the
-/// wire). Shared by the reactor's render workers and the threaded
-/// server.
+/// wire). Shared by [`ShardedEngine::render`] and the threaded server.
 pub(crate) fn encode_send(
     m: &S2C,
     page: Option<PageId>,
@@ -120,21 +120,17 @@ pub(crate) fn encode_send(
 }
 
 /// Decision-relevant state, all under one short lock: the serial engine
-/// plus the counters that define the linearization (global `seq`), the
-/// cross-shard commit order (`corder`), and per-client send sequencing.
+/// plus the counters that define the linearization (global `seq`) and
+/// the cross-shard commit order (`corder`).
 struct Control {
     engine: Engine,
     seq: u64,
     corder: u64,
-    /// Next send sequence number per client slot. Sends are sequenced
-    /// here, under control, so the egress side can restore per-client
-    /// send order after shard workers render frames in parallel.
-    send_seqs: Vec<u64>,
 }
 
-/// One message's trip through the control section: everything a shard
-/// worker needs to render the trace line and outgoing frames without
-/// touching the engine again.
+/// One message's trip through the control section: everything
+/// [`ShardedEngine::render`] needs to render the trace line and outgoing
+/// frames without touching the engine again.
 pub struct Step {
     /// Global sequence number (dense, starts at 1).
     pub seq: u64,
@@ -150,31 +146,21 @@ pub struct Step {
     pub payload: Vec<u8>,
     /// What the engine decided and wants sent.
     pub eff: Effects,
-    /// Per-client send sequence number for each send, aligned with
-    /// `eff.sends`.
-    pub send_seqs: Vec<u64>,
-    /// Total sends ever addressed to `from`, including this step — the
-    /// reactor uses it to know when a departing connection's outbound
-    /// stream is fully drained.
-    pub sends_to_from: u64,
 }
 
-/// One encoded outgoing frame, addressed by client slot and sequenced
-/// for per-client reordering at egress.
+/// One encoded outgoing frame, addressed by client slot.
 pub struct OutFrame {
     /// Destination client slot.
     pub to: u32,
-    /// Per-client send sequence number.
-    pub send_seq: u64,
     /// The encoded frame, payload included.
     pub bytes: Vec<u8>,
 }
 
-/// What a shard worker produced for one step.
+/// What [`ShardedEngine::render`] produced for one step.
 pub struct Rendered {
     /// The v2 trace line (rendered JSON), if tracing is on.
     pub line: Option<String>,
-    /// Encoded outgoing frames.
+    /// Encoded outgoing frames, in send order.
     pub outs: Vec<OutFrame>,
     /// False if an inbound commit payload failed image verification.
     pub payload_ok: bool,
@@ -211,7 +197,6 @@ impl ShardedEngine {
                 engine: Engine::new(algorithm, tuning, n_clients, mpl, lock_shards, true, db),
                 seq: 0,
                 corder: 0,
-                send_seqs: vec![0; n_clients as usize],
             }),
             stores: (0..shards).map(|_| Mutex::new(PageStore::new())).collect(),
             shards,
@@ -226,9 +211,9 @@ impl ShardedEngine {
     }
 
     /// Run one message through the control section: assign its sequence
-    /// number, apply it to the serial engine, stamp the commit order,
-    /// and sequence its sends. Everything heavier happens in
-    /// [`ShardedEngine::render`], outside the lock.
+    /// number, apply it to the serial engine, and stamp the commit order.
+    /// Everything heavier happens in [`ShardedEngine::render`], outside
+    /// the lock.
     pub fn step(&self, from: ClientId, msg: Option<C2S>, payload: Vec<u8>) -> Step {
         let mut c = self.control.lock().expect("control poisoned");
         c.seq += 1;
@@ -249,17 +234,6 @@ impl ShardedEngine {
         } else {
             None
         };
-        let send_seqs = eff
-            .sends
-            .iter()
-            .map(|(to, _)| {
-                let slot = &mut c.send_seqs[to.0 as usize];
-                let v = *slot;
-                *slot += 1;
-                v
-            })
-            .collect();
-        let sends_to_from = c.send_seqs[from.0 as usize];
         Step {
             seq,
             shard: shard_of_msg(msg.as_ref(), self.shards),
@@ -268,14 +242,7 @@ impl ShardedEngine {
             msg,
             payload,
             eff,
-            send_seqs,
-            sends_to_from,
         }
-    }
-
-    /// Total sends ever addressed to `client` so far.
-    pub fn sends_to(&self, client: u32) -> u64 {
-        self.control.lock().expect("control poisoned").send_seqs[client as usize]
     }
 
     /// Totals for the trace footer: (messages, commits, aborts).
@@ -291,8 +258,7 @@ impl ShardedEngine {
     /// Render one step outside the control lock: verify and install the
     /// inbound commit images, materialize real page images for every
     /// payload-carrying send, encode the frames, and render the trace
-    /// line. Independent-page traffic takes independent store locks, so
-    /// this — the expensive part — never serializes across shards.
+    /// line.
     pub fn render(&self, step: &Step) -> Rendered {
         let ps = self.page_size;
         let payload_ok = verify_install_commit(
@@ -315,11 +281,7 @@ impl ShardedEngine {
                     .expect("store poisoned")
                     .read(page, version, ps as usize)
             });
-            outs.push(OutFrame {
-                to: to.0,
-                send_seq: step.send_seqs[i],
-                bytes,
-            });
+            outs.push(OutFrame { to: to.0, bytes });
         }
         let line = self.trace.then(|| {
             line_json(
@@ -425,8 +387,7 @@ mod tests {
         let r = e.render(&s2);
         assert!(r.payload_ok, "a faithful commit image verifies");
         assert!(r.line.is_some());
-        // Per-client send order is recoverable from the send seqs.
-        assert_eq!(s2.send_seqs.len(), s2.eff.sends.len());
+        assert_eq!(r.outs.len(), s2.eff.sends.len());
     }
 
     #[test]

@@ -435,8 +435,7 @@ impl<W: Write> TraceWriter<W> {
         writeln!(self.out, "{}", o.render())
     }
 
-    /// Write one pre-rendered trace line (the reactor's shard workers
-    /// render lines off-thread; its ordering buffer feeds them here).
+    /// Write one line already rendered by [`crate::ShardedEngine::render`].
     pub(crate) fn record_line(&mut self, line: &str) -> io::Result<()> {
         writeln!(self.out, "{line}")
     }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# ThreadSanitizer smoke: the server end-to-end suite — reactor threads,
-# render workers, writer drains, client load threads — runs under TSan
-# so any data race on the socket/engine/trace hand-off paths surfaces as
-# a hard failure instead of a once-a-year flake.
+# ThreadSanitizer smoke: the server end-to-end suite — the reactor
+# thread beside the in-process load threads, the threaded server's
+# per-connection readers and writers, and the shared engine — runs under
+# TSan so any data race on the socket/engine/trace hand-off paths
+# surfaces as a hard failure instead of a once-a-year flake.
 #
 # TSan needs a nightly toolchain with rust-src (`-Zbuild-std` rebuilds
 # std instrumented). Only a missing toolchain is forgivable: without it
@@ -34,9 +35,10 @@ rustup component list --toolchain nightly 2>/dev/null | grep -q 'rust-src (insta
   || rustup component add rust-src --toolchain nightly >/dev/null 2>&1 \
   || skip "nightly has no rust-src component (needed for -Zbuild-std)"
 
-# The e2e suite exercises every cross-thread edge the reactor has; the
-# lifecycle tests add the shutdown/port-file races. One thread of test
-# parallelism keeps TSan's shadow memory within smoke budget.
+# The e2e suite exercises every cross-thread edge the servers have; the
+# lifecycle tests add the shutdown/port-file races and fault injection.
+# One thread of test parallelism keeps TSan's shadow memory within smoke
+# budget.
 export RUSTFLAGS="-Zsanitizer=thread ${RUSTFLAGS:-}"
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 if ! cargo +nightly test --locked -Zbuild-std --target "$target" \

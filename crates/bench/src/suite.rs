@@ -22,18 +22,21 @@
 //! stand up the actual reactor page-server on a loopback socket, drive
 //! it with the load generator, and record real-socket events/sec next to
 //! `des_events_per_sec` — the profiled-kernel rate of the matching DES
-//! case. Their commit counts are deterministic (clients × txns) and
-//! exact-checked, but their message counts depend on socket scheduling,
-//! so [`check_bench`] skips the exact-events comparison for them while
-//! still applying the throughput-regression gate. They are excluded from
-//! `totals`, which stays a pure DES number.
+//! case. Their client commit counts are deterministic (clients × txns)
+//! and exact-checked, but their message counts depend on socket
+//! scheduling, so [`check_bench`] skips the exact-events comparison for
+//! them while still applying the throughput-regression gate. Each also
+//! records `server_commits` and `local_commits` (read-only callback
+//! transactions that commit at the client), which sum to `commits` but
+//! split by scheduling. They are excluded from `totals`, which stays a
+//! pure DES number.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ccdb_core::{
-    experiments, run_simulation_observed, run_simulation_profiled, run_simulation_profiled_jobs,
-    Algorithm, ObsOptions, SimConfig, Trace,
+    experiments, run_simulation_observed, run_simulation_profiled, Algorithm, ObsOptions,
+    SimConfig, Trace,
 };
 use ccdb_des::{EventKind, SimDuration};
 use ccdb_obs::Json;
@@ -84,26 +87,12 @@ fn matrix(ctl: &BenchCtl) -> Vec<(&'static str, SimConfig)> {
             )),
         ),
         (
-            // The same workload as short_cb_25 through the windowed
-            // dispatcher (4 kernel workers): counters must match the
-            // serial case bit-for-bit, wall-clock shows the window tax.
-            "par_window_cb_25",
-            horizon(experiments::short_txn(Algorithm::Callback, 25, 0.25, 0.2)),
-        ),
-        (
             // Service-task-heavy: 50 callback clients hammering a 10% hot
             // region. Every client caches the hot pages, so each update
             // commit broadcasts invalidations to ~all clients in one
             // instant — dense same-instant bursts of packet-train and disk
-            // service tasks, the workload the dispatch window is for.
+            // service tasks.
             "svc_cb_50",
-            horizon(svc_heavy_config()),
-        ),
-        (
-            // The same service-heavy workload through the windowed
-            // dispatcher: exact counters must match svc_cb_50 bit-for-bit;
-            // events/sec is the headline window-win number.
-            "par_svc_cb_50",
             horizon(svc_heavy_config()),
         ),
         (
@@ -112,9 +101,6 @@ fn matrix(ctl: &BenchCtl) -> Vec<(&'static str, SimConfig)> {
         ),
     ]
 }
-
-/// Kernel dispatch workers for the `par_*` cases.
-const WINDOW_JOBS: usize = 4;
 
 /// The realtime `server_*` cases: stable name, algorithm, engine shards,
 /// and the DES matrix case whose events/sec rides along as the
@@ -183,14 +169,18 @@ fn run_server_case(
         seed,
     })
     .expect("bench load run failed");
-    let commits = server
+    let server_commits = server
         .join()
         .expect("bench server thread panicked")
         .expect("bench server failed");
     let wall_s = started.elapsed().as_secs_f64();
+    // `commits` is the load generator's count: every client's full quota.
+    // Read-only callback transactions can commit at the client and never
+    // reach the server, so the server's own count is that quota minus those.
+    let commits = summary.commits;
     assert_eq!(
-        commits,
-        u64::from(clients) * u64::from(txns),
+        server_commits,
+        commits - summary.local_commits,
         "server case {name} lost commits"
     );
 
@@ -211,6 +201,8 @@ fn run_server_case(
         .set("realtime", true)
         .set("events", messages)
         .set("commits", commits)
+        .set("server_commits", server_commits)
+        .set("local_commits", summary.local_commits)
         .set("aborts", summary.aborts)
         .set("pages_verified", summary.pages_verified)
         .set("wall_s", wall_s)
@@ -220,10 +212,10 @@ fn run_server_case(
     case
 }
 
-/// The service-task-heavy workload behind `svc_cb_50` / `par_svc_cb_50`:
-/// callback locking, 50 clients, and a 10% hot region taking 70% of
-/// accesses, so invalidation broadcasts (and the disk traffic they cause)
-/// arrive as wide same-instant service-task windows.
+/// The service-task-heavy workload behind `svc_cb_50`: callback locking,
+/// 50 clients, and a 10% hot region taking 70% of accesses, so
+/// invalidation broadcasts (and the disk traffic they cause) arrive as
+/// wide same-instant bursts of service tasks.
 fn svc_heavy_config() -> SimConfig {
     let mut cfg = experiments::short_txn(Algorithm::Callback, 50, 0.25, 0.5);
     cfg.db = cfg.db.with_skew(ccdb_model::AccessSkew {
@@ -260,9 +252,6 @@ pub fn run_bench(ctl: &BenchCtl, quick: bool) -> Json {
                 .map(|s| (s.names().len() + 2) * s.len() * 8)
                 .unwrap_or(0);
             (observed.report, None, bytes)
-        } else if name.starts_with("par_") {
-            let profiled = run_simulation_profiled_jobs(cfg, WINDOW_JOBS);
-            (profiled.report, Some(profiled.profile), 0)
         } else {
             let profiled = run_simulation_profiled(cfg);
             (profiled.report, Some(profiled.profile), 0)
@@ -510,7 +499,7 @@ mod tests {
         let Some(Json::Arr(cases)) = doc.get("cases") else {
             panic!("cases array");
         };
-        assert_eq!(cases.len(), 11);
+        assert_eq!(cases.len(), 9);
         // Profiled cases attribute every dispatch to a kind.
         let first = &cases[0];
         let events = first.get("events").and_then(|v| v.as_u64()).unwrap();
@@ -522,26 +511,11 @@ mod tests {
             .map(|(_, k)| k.get("count").and_then(|v| v.as_u64()).unwrap())
             .sum();
         assert_eq!(by_kind, events);
-        // The windowed case reproduces the serial case's counters exactly.
         let by_name = |n: &str| {
             cases
                 .iter()
                 .find(|c| c.get("name").unwrap().as_str() == Some(n))
         };
-        for (s, w) in [
-            ("short_cb_25", "par_window_cb_25"),
-            ("svc_cb_50", "par_svc_cb_50"),
-        ] {
-            let serial = by_name(s).unwrap();
-            let windowed = by_name(w).unwrap();
-            for key in ["events", "commits"] {
-                assert_eq!(
-                    serial.get(key).unwrap().as_u64(),
-                    windowed.get(key).unwrap().as_u64(),
-                    "windowed dispatch must not change {key} ({s} vs {w})"
-                );
-            }
-        }
         // The sampled case reports a positive series footprint, no kinds.
         let sampled = by_name("short_cb_25_sampled").unwrap();
         assert!(sampled.get("kinds").is_none());
@@ -564,6 +538,12 @@ mod tests {
                 Some(clients * txns),
                 "{name} must commit its full quota"
             );
+            let count = |key: &str| case.get(key).unwrap().as_u64().unwrap();
+            assert_eq!(
+                count("server_commits") + count("local_commits"),
+                clients * txns,
+                "{name}: server and local commits must sum to the quota"
+            );
             assert!(case.get("pages_verified").unwrap().as_u64().unwrap() > 0);
             assert!(case.get("events_per_sec").unwrap().as_f64().unwrap() > 0.0);
             assert!(case.get("des_events_per_sec").unwrap().as_f64().unwrap() > 0.0);
@@ -572,7 +552,7 @@ mod tests {
         check_bench(&doc, &doc, 0.2).unwrap();
         // And the delta table covers every case plus the totals row.
         let table = bench_delta_table(&doc, &doc);
-        assert!(table.contains("par_window_cb_25"));
+        assert!(table.contains("svc_cb_50"));
         assert!(table.contains("total"));
         assert!(table.contains("+0.0%"));
     }

@@ -48,8 +48,8 @@ pub use replication::{
     ReplicatedObserved, ReplicatedReport, ReplicationAccumulator, ReplicationAggregate,
 };
 pub use runner::{
-    run_simulation, run_simulation_observed, run_simulation_profiled, run_simulation_profiled_jobs,
-    run_simulation_traced, ObsOptions, Observed, Profiled,
+    run_simulation, run_simulation_observed, run_simulation_profiled, run_simulation_traced,
+    ObsOptions, Observed, Profiled,
 };
 pub use trace::{Trace, TraceEvent, TraceSpan};
 pub use wait::WaitBook;

@@ -315,7 +315,6 @@ mod tests {
         let obs = ObsOptions {
             sample_interval: Some(SimDuration::from_secs(1)),
             ring_capacity: 8,
-            ..ObsOptions::default()
         };
         let observed = run_replicated_observed(quick(), 2, obs);
         assert_eq!(observed.aggregate, run_replicated_folded(quick(), 2));

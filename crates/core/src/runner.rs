@@ -28,10 +28,6 @@ pub struct ObsOptions {
     /// interval and folds adjacent samples instead of evicting (must be
     /// at least 3).
     pub ring_capacity: usize,
-    /// Kernel dispatch workers for same-instant event windows (see
-    /// [`Sim::set_dispatch_jobs`]). `1` (the default) is the strictly
-    /// serial event loop; any value produces an identical report.
-    pub kernel_jobs: usize,
 }
 
 impl Default for ObsOptions {
@@ -39,7 +35,6 @@ impl Default for ObsOptions {
         ObsOptions {
             sample_interval: None,
             ring_capacity: 4096,
-            kernel_jobs: 1,
         }
     }
 }
@@ -86,22 +81,9 @@ pub struct Profiled {
 /// watches the kernel — the simulated outcome (and thus the report) is
 /// bit-identical to an unprofiled run; only wall-clock cost changes.
 pub fn run_simulation_profiled(cfg: SimConfig) -> Profiled {
-    run_simulation_profiled_jobs(cfg, 1)
-}
-
-/// [`run_simulation_profiled`] over the windowed dispatcher with `jobs`
-/// kernel workers. Counters — and the report — are identical for every
-/// `jobs` value; per-kind wall-clock nanos are measured on the worker
-/// that polled the event and merged at commit, so profiling never
-/// perturbs dispatch order.
-pub fn run_simulation_profiled_jobs(cfg: SimConfig, jobs: usize) -> Profiled {
     let sim = Sim::new();
     sim.enable_profiling();
-    let obs = ObsOptions {
-        kernel_jobs: jobs,
-        ..ObsOptions::default()
-    };
-    let observed = run_observed_on(&sim, cfg, Trace::disabled(), obs);
+    let observed = run_observed_on(&sim, cfg, Trace::disabled(), ObsOptions::default());
     Profiled {
         report: observed.report,
         profile: sim.profile(),
@@ -123,7 +105,6 @@ pub fn run_simulation_observed(cfg: SimConfig, trace: Trace, obs: ObsOptions) ->
 /// to the horizon, and collect the report.
 fn run_observed_on(sim: &Sim, cfg: SimConfig, trace: Trace, obs: ObsOptions) -> Observed {
     cfg.validate();
-    sim.set_dispatch_jobs(obs.kernel_jobs);
     let env = sim.env();
     let mut root_rng = Pcg32::new(cfg.seed, 0x5EED);
 

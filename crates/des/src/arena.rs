@@ -1,6 +1,6 @@
 //! Slab arenas backing the split-borrow kernel.
 //!
-//! [`Slab`] stores process futures and window tasks in reusable,
+//! [`Slab`] stores process futures and service callbacks in reusable,
 //! generation-counted slots, so a stale calendar entry can never resume an
 //! unrelated occupant that reused the slot. [`WaitArena`] is the
 //! allocation-free replacement for the per-wait `Rc<RefCell<...>>` cells the
@@ -19,7 +19,7 @@ pub(crate) struct SlabId {
 
 enum SlotState<T> {
     /// Occupied. `value` is `None` while the occupant is temporarily moved
-    /// out for polling/stepping.
+    /// out for polling.
     Live { generation: u32, value: Option<T> },
     /// Free-list link.
     Free {
@@ -81,16 +81,6 @@ impl<T> Slab<T> {
         };
         self.live += 1;
         id
-    }
-
-    /// Is `id` the slot's current occupant — even while the occupant is
-    /// temporarily moved out for polling/stepping? Distinguishes "live but
-    /// taken" (cancellable) from a stale id (already gone).
-    pub(crate) fn is_live(&self, id: SlabId) -> bool {
-        matches!(
-            self.slots.get(id.slot as usize),
-            Some(SlotState::Live { generation, .. }) if *generation == id.generation
-        )
     }
 
     /// Move the occupant out for polling. `None` if the id is stale or the

@@ -17,7 +17,7 @@ use crate::kernel::EventKind;
 use crate::time::SimTime;
 
 /// What a calendar entry wakes: an ordinary simulation process or a
-/// [`WindowTask`](crate::WindowTask) state machine.
+/// pending service task ([`Env::spawn_service`](crate::Env::spawn_service)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Target {
     Proc { slot: u32, generation: u32 },
@@ -122,28 +122,6 @@ impl Calendar {
         }
     }
 
-    /// Pop the earliest entry if it fires at or before `deadline`, plus
-    /// whether the *next* entry shares its instant. The windowed executor
-    /// uses the flag to take the serial-style single-event fast path without
-    /// paying a second borrow/peek per event.
-    #[inline]
-    pub(crate) fn pop_due_more(&mut self, deadline: SimTime) -> Option<(Entry, bool)> {
-        let e = self.pop_due(deadline)?;
-        let more = matches!(self.heap.first(), Some(n) if n.time() == e.time());
-        Some((e, more))
-    }
-
-    /// Pop every entry firing exactly at `time` into `out`, in `(time, seq)`
-    /// order — the dispatch window for one simulated instant.
-    pub(crate) fn drain_at(&mut self, time: SimTime, out: &mut Vec<Entry>) {
-        while let Some(e) = self.heap.first() {
-            if e.time() != time {
-                break;
-            }
-            out.push(self.pop().expect("peeked entry vanished"));
-        }
-    }
-
     fn sift_up(&mut self, mut at: usize) {
         while at > 0 {
             let parent = (at - 1) / ARITY;
@@ -243,23 +221,6 @@ mod tests {
             got,
             vec![(0, 1), (0, 9), (1, 3), (1, 4), (2, 0), (3, 2), (3, 10)]
         );
-    }
-
-    #[test]
-    fn drain_at_takes_exactly_one_instant_in_seq_order() {
-        let mut cal = Calendar::new();
-        for (ns, seq) in [(5, 8), (5, 1), (7, 2), (5, 3)] {
-            cal.push(entry(ns, seq, EventKind::Mailbox));
-        }
-        let mut window = Vec::new();
-        cal.drain_at(SimTime::from_nanos(5), &mut window);
-        assert_eq!(
-            window.iter().map(Entry::seq).collect::<Vec<_>>(),
-            vec![1, 3, 8]
-        );
-        assert_eq!(cal.len(), 1);
-        let (left, more) = cal.pop_due_more(SimTime::MAX).unwrap();
-        assert_eq!((left.time(), more), (SimTime::from_nanos(7), false));
     }
 
     #[test]

@@ -16,32 +16,27 @@
 //! Kernel state is not one `RefCell<Kernel>`: [`KernelShared`] splits it into
 //! independently borrowable components — `Cell`s for the clock, sequence
 //! counter and current-process register, and separate `RefCell`s for the
-//! calendar, the process arena, the window-task arena, and the wait-cell
-//! arena. A primitive that parks a waiter touches only the wait arena and
-//! the calendar; reading the clock is a `Cell` load. No code path ever holds
-//! the "whole kernel" across a user poll, which is what lets the windowed
-//! executor in [`crate::window`] pre-step `Send` tasks on worker threads
-//! while the single-threaded process world stays untouched.
+//! calendar, the process arena, the service-callback arena, and the
+//! wait-cell arena. A primitive that parks a waiter touches only the wait
+//! arena and the calendar; reading the clock is a `Cell` load. No code path
+//! ever holds the "whole kernel" across a user poll or a service callback,
+//! so either may freely call back into the kernel through its [`Env`].
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::arena::{Slab, SlabId, WaitArena, WaitHandle};
 use crate::calendar::{Calendar, Entry, Target};
 use crate::oneshot::{oneshot, Wait};
 use crate::time::{SimDuration, SimTime};
-use crate::window::{ServiceStep, TaskId, WindowTask};
 
-/// A service task's serial epilogue: runs on the committing thread, in
-/// `(time, seq)` order, when the task retires. This is where kernel-visible
-/// effects (facility occupancy, mailbox deposits, process wakes) belong —
-/// the `Send` step itself must stay isolated (see [`WindowTask`]).
-pub(crate) type CommitHook = Box<dyn FnOnce(&Env)>;
+/// A pending service task: runs once, at its own `(time, seq)` slot, with
+/// full kernel access through the [`Env`] it is handed.
+type ServiceFn = Box<dyn FnOnce(&Env)>;
 
 /// Identifies a spawned process. Includes a generation counter so that a
 /// stale id left in a wait queue can never resume an unrelated process that
@@ -102,7 +97,7 @@ pub enum EventKind {
     Semaphore,
     /// A one-shot signal firing.
     Oneshot,
-    /// A [`WindowTask`] step (the parallel-window unit of work).
+    /// A service task ([`Env::spawn_service`]) running at its slot.
     Task,
 }
 
@@ -147,9 +142,8 @@ impl EventKind {
 /// when [`Sim::enable_profiling`] was called before running.
 ///
 /// The **counts** are a pure function of the simulation (exact and
-/// reproducible, identical under serial and windowed dispatch); the
-/// **nanoseconds** are host wall-clock time and must never feed a
-/// deterministic report — they exist for `ccdb bench`.
+/// reproducible); the **nanoseconds** are host wall-clock time and must
+/// never feed a deterministic report — they exist for `ccdb bench`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelProfile {
     pub(crate) counts: [u64; EventKind::ALL.len()],
@@ -184,7 +178,7 @@ impl KernelProfile {
 /// and each component gets its own `RefCell`, so borrows are narrow and
 /// disjoint: scheduling a wake borrows only the calendar, parking a waiter
 /// only the wait arena, polling a process only the process arena — and none
-/// of them is held across a user future's `poll`.
+/// of them is held across a user future's `poll` or a service callback.
 pub(crate) struct KernelShared {
     now: Cell<SimTime>,
     seq: Cell<u64>,
@@ -194,15 +188,10 @@ pub(crate) struct KernelShared {
     events_processed: Cell<u64>,
     /// Self-profiling switch; checked once per `run_until`, not per event.
     profiling: Cell<bool>,
-    /// Worker threads for the parallel dispatch window; 1 = pure serial.
-    jobs: Cell<usize>,
     calendar: RefCell<Calendar>,
     procs: RefCell<Slab<ProcFuture>>,
-    tasks: RefCell<Slab<Box<dyn WindowTask>>>,
-    /// Commit hooks for service tasks, indexed by task slot. A hook is set
-    /// at [`Env::spawn_service`], taken exactly once when the task retires
-    /// (or is cancelled), and never travels to a worker thread.
-    hooks: RefCell<Vec<Option<CommitHook>>>,
+    /// Pending service tasks, each waiting for its calendar slot.
+    services: RefCell<Slab<ServiceFn>>,
     waits: RefCell<WaitArena>,
     profile: RefCell<KernelProfile>,
 }
@@ -215,11 +204,9 @@ impl KernelShared {
             current: Cell::new(None),
             events_processed: Cell::new(0),
             profiling: Cell::new(false),
-            jobs: Cell::new(1),
             calendar: RefCell::new(Calendar::new()),
             procs: RefCell::new(Slab::new()),
-            tasks: RefCell::new(Slab::new()),
-            hooks: RefCell::new(Vec::new()),
+            services: RefCell::new(Slab::new()),
             waits: RefCell::new(WaitArena::new()),
             profile: RefCell::new(KernelProfile::default()),
         }
@@ -231,18 +218,8 @@ impl KernelShared {
     }
 
     #[inline]
-    pub(crate) fn set_now(&self, t: SimTime) {
-        self.now.set(t);
-    }
-
-    #[inline]
-    pub(crate) fn count_event(&self) {
+    fn count_event(&self) {
         self.events_processed.set(self.events_processed.get() + 1);
-    }
-
-    #[inline]
-    pub(crate) fn profiling(&self) -> bool {
-        self.profiling.get()
     }
 
     #[inline]
@@ -262,79 +239,13 @@ impl KernelShared {
     }
 
     /// Advance the clock to `deadline` when the calendar ran dry first.
-    pub(crate) fn finish_at_deadline(&self, deadline: SimTime) {
+    fn finish_at_deadline(&self, deadline: SimTime) {
         if deadline != SimTime::MAX && deadline > self.now.get() {
             self.now.set(deadline);
         }
     }
 
-    /// Pop the next event if it fires at or before `deadline`, plus whether
-    /// the following event shares its instant (one borrow for both answers).
-    pub(crate) fn pop_due_more(&self, deadline: SimTime) -> Option<(Entry, bool)> {
-        self.calendar.borrow_mut().pop_due_more(deadline)
-    }
-
-    /// Drain every event at `time` into `out` in `(time, seq)` order.
-    pub(crate) fn drain_window(&self, time: SimTime, out: &mut Vec<Entry>) {
-        self.calendar.borrow_mut().drain_at(time, out);
-    }
-
-    pub(crate) fn take_task(&self, id: SlabId) -> Option<Box<dyn WindowTask>> {
-        self.tasks.borrow_mut().take(id)
-    }
-
-    /// Is the task behind `id` still the slot's current occupant? False once
-    /// it was cancelled (even while moved out into a dispatch window).
-    pub(crate) fn task_is_live(&self, id: SlabId) -> bool {
-        self.tasks.borrow().is_live(id)
-    }
-
-    /// Commit one window task's step result: either re-arm it `delay` from
-    /// now or retire it. Shared by the serial and windowed executors so both
-    /// assign the follow-up sequence number at the same logical point.
-    pub(crate) fn commit_task_step(
-        &self,
-        id: SlabId,
-        task: Box<dyn WindowTask>,
-        next: Option<SimDuration>,
-    ) {
-        match next {
-            Some(delay) => {
-                let at = self.now.get() + delay;
-                self.tasks.borrow_mut().restore(id, task);
-                self.schedule(
-                    at,
-                    Target::Task {
-                        slot: id.slot,
-                        generation: id.generation,
-                    },
-                    EventKind::Task,
-                );
-            }
-            None => {
-                self.tasks.borrow_mut().retire(id);
-                drop(task);
-            }
-        }
-    }
-
-    /// Attach a serial commit hook to the task occupying `slot`.
-    pub(crate) fn set_hook(&self, slot: u32, hook: CommitHook) {
-        let mut hooks = self.hooks.borrow_mut();
-        let ix = slot as usize;
-        if hooks.len() <= ix {
-            hooks.resize_with(ix + 1, || None);
-        }
-        hooks[ix] = Some(hook);
-    }
-
-    /// Take the commit hook for `slot`, if any. Called when the task
-    /// retires (hook runs) or is cancelled (hook is dropped).
-    pub(crate) fn take_hook(&self, slot: u32) -> Option<CommitHook> {
-        self.hooks.borrow_mut().get_mut(slot as usize)?.take()
-    }
-
-    pub(crate) fn record_profile(&self, kind: EventKind, nanos: u64) {
+    fn record_profile(&self, kind: EventKind, nanos: u64) {
         let mut p = self.profile.borrow_mut();
         let ix = kind.index();
         p.counts[ix] += 1;
@@ -388,19 +299,6 @@ impl Sim {
         self.env().spawn(fut)
     }
 
-    /// Spawn a [`WindowTask`]; its first step fires `delay` from now. Tasks
-    /// are the unit of work the parallel dispatch window may step on worker
-    /// threads (see [`Sim::set_dispatch_jobs`]).
-    pub fn spawn_task<T: WindowTask + 'static>(&self, delay: SimDuration, task: T) -> TaskId {
-        self.env().spawn_task(delay, task)
-    }
-
-    /// Cancel a live task without stepping it again; see
-    /// [`Env::cancel_task`].
-    pub fn cancel_task(&self, id: TaskId) -> bool {
-        self.env().cancel_task(id)
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.shared.now()
@@ -416,27 +314,10 @@ impl Sim {
         self.shared.procs.borrow().live()
     }
 
-    /// Number of live (unfinished) window tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.shared.tasks.borrow().live()
-    }
-
-    /// Set the worker-thread count for the parallel dispatch window.
-    ///
-    /// With `jobs == 1` (the default) dispatch is the classic serial loop.
-    /// With `jobs > 1`, events sharing a simulated instant are drained as a
-    /// window: [`WindowTask`] steps are executed on up to `jobs` scoped
-    /// worker threads and their results committed in `(time, seq)` order,
-    /// while ordinary process events always run serially on the committing
-    /// thread (the doubt path). Deterministic outputs are identical for
-    /// every value of `jobs`.
-    pub fn set_dispatch_jobs(&self, jobs: usize) {
-        self.shared.jobs.set(jobs.max(1));
-    }
-
-    /// Current worker-thread count for the parallel dispatch window.
-    pub fn dispatch_jobs(&self) -> usize {
-        self.shared.jobs.get()
+    /// Number of pending (not yet run) service tasks.
+    #[cfg(test)]
+    fn pending_services(&self) -> usize {
+        self.shared.services.borrow().live()
     }
 
     /// Run until the calendar is empty.
@@ -462,19 +343,16 @@ impl Sim {
     /// `deadline` (or at the last event time if the calendar empties first
     /// and that is later — it cannot be).
     pub fn run_until(&self, deadline: SimTime) {
-        let jobs = self.shared.jobs.get();
-        if jobs > 1 {
-            self.run_windowed(deadline, jobs);
-        } else if self.shared.profiling.get() {
-            // Monomorphized on the profiling flag so the off path carries no
-            // clock reads or profile stores at all.
-            self.run_serial::<true>(deadline);
+        // Monomorphized on the profiling flag so the off path carries no
+        // clock reads or profile stores at all.
+        if self.shared.profiling.get() {
+            self.run_loop::<true>(deadline);
         } else {
-            self.run_serial::<false>(deadline);
+            self.run_loop::<false>(deadline);
         }
     }
 
-    fn run_serial<const PROFILE: bool>(&self, deadline: SimTime) {
+    fn run_loop<const PROFILE: bool>(&self, deadline: SimTime) {
         // One clock read per event, not two: the end of event N's window is
         // the start of event N+1's, so each kind is charged its dispatch
         // plus the following calendar pop. Total profiled nanos therefore
@@ -491,7 +369,7 @@ impl Sim {
                 self.shared.finish_at_deadline(deadline);
                 break;
             };
-            self.shared.set_now(e.time());
+            self.shared.now.set(e.time());
             self.shared.count_event();
             self.dispatch(e.target);
             if PROFILE {
@@ -504,42 +382,27 @@ impl Sim {
     }
 
     #[inline]
-    pub(crate) fn dispatch(&self, target: Target) {
+    fn dispatch(&self, target: Target) {
         match target {
             Target::Proc { slot, generation } => {
                 self.poll_process(ProcId { slot, generation });
             }
             Target::Task { slot, generation } => {
-                self.step_task(SlabId { slot, generation });
+                // Retire before running, so the callback sees its slot free
+                // and no arena borrow is held while it calls back in.
+                let service = self
+                    .shared
+                    .services
+                    .borrow_mut()
+                    .retire(SlabId { slot, generation });
+                if let Some(service) = service {
+                    service(&self.env());
+                }
             }
         }
     }
 
-    /// Serial-path task step: take, step on this thread, commit immediately.
-    fn step_task(&self, id: SlabId) {
-        // Stale wake for a finished task: skip.
-        let Some(mut task) = self.shared.take_task(id) else {
-            return;
-        };
-        let next = task.step(self.shared.now());
-        let finished = next.is_none();
-        self.shared.commit_task_step(id, task, next);
-        if finished {
-            self.run_commit_hook(id.slot);
-        }
-    }
-
-    /// Run a retired task's commit hook (if any) on the committing thread.
-    /// Shared by the serial and windowed executors so a service task's
-    /// kernel-visible effects land at the same `(time, seq)` point either
-    /// way.
-    pub(crate) fn run_commit_hook(&self, slot: u32) {
-        if let Some(hook) = self.shared.take_hook(slot) {
-            hook(&self.env());
-        }
-    }
-
-    pub(crate) fn poll_process(&self, id: ProcId) {
+    fn poll_process(&self, id: ProcId) {
         // Move the future out so the process arena is not borrowed during
         // the poll (the future will call back into the kernel through its
         // Env — but only ever into *other* components).
@@ -561,6 +424,27 @@ impl Sim {
                 drop(fut);
             }
             Poll::Pending => self.shared.procs.borrow_mut().restore(id.slab_id(), fut),
+        }
+    }
+}
+
+impl Drop for Sim {
+    /// Free the simulated world. Parked processes and pending services hold
+    /// [`Env`] clones, i.e. strong references to the kernel that owns them,
+    /// so without this the kernel and everything they own would leak as a
+    /// cycle. Their destructors may re-enter the kernel (a dropped
+    /// [`crate::FacilityGuard`] hands its server on, a dropped future may
+    /// spawn), so each slab is moved out and dropped with no borrow held,
+    /// until neither refills.
+    fn drop(&mut self) {
+        loop {
+            let procs = std::mem::replace(&mut *self.shared.procs.borrow_mut(), Slab::new());
+            let services = std::mem::replace(&mut *self.shared.services.borrow_mut(), Slab::new());
+            if procs.live() == 0 && services.live() == 0 {
+                break;
+            }
+            drop(procs);
+            drop(services);
         }
     }
 }
@@ -591,55 +475,16 @@ impl Env {
         id
     }
 
-    /// Spawn a [`WindowTask`]; its first step fires `delay` from now.
-    pub fn spawn_task<T: WindowTask + 'static>(&self, delay: SimDuration, task: T) -> TaskId {
-        let id = self.shared.tasks.borrow_mut().insert(Box::new(task));
-        let at = self.shared.now() + delay;
-        self.shared.schedule(
-            at,
-            Target::Task {
-                slot: id.slot,
-                generation: id.generation,
-            },
-            EventKind::Task,
-        );
-        TaskId(id)
-    }
-
-    /// Spawn a one-shot *service task*: `compute` runs as a [`WindowTask`]
-    /// step at the **current instant** (eligible for the parallel dispatch
-    /// window), and `commit` runs with its output on the committing thread,
-    /// in `(time, seq)` order, immediately after the step commits.
+    /// Spawn a one-shot *service task*: `service` runs at the **current
+    /// instant**, in its own calendar slot after the events already
+    /// scheduled for this instant, with full kernel access through the
+    /// [`Env`] it is handed.
     ///
-    /// This is the split the model's hot service machinery uses: variate
-    /// draws and per-packet/per-block schedule computation go in `compute`
-    /// (which is `Send` and sees no kernel state), while every
-    /// kernel-visible effect — facility occupancy, mailbox deposits,
-    /// process wakes — stays in `commit`, which may freely use the `Env` it
-    /// is handed. Determinism for any job count follows from the same
-    /// three-point argument as [`WindowTask`] (see `window.rs`): the step
-    /// is a pure function of captured state, and the commit point is fixed
-    /// by the task's sequence number.
-    pub fn spawn_service<O, C, K>(&self, compute: C, commit: K) -> TaskId
-    where
-        O: Send + 'static,
-        C: FnOnce(SimTime) -> O + Send + 'static,
-        K: FnOnce(&Env, O) + 'static,
-    {
-        let out: Arc<Mutex<Option<O>>> = Arc::new(Mutex::new(None));
-        let task = ServiceStep::new(compute, Arc::clone(&out));
-        let id = self.shared.tasks.borrow_mut().insert(Box::new(task));
-        self.shared.set_hook(
-            id.slot,
-            Box::new(move |env: &Env| {
-                let o = out
-                    .lock()
-                    .expect("service task output lock")
-                    .take()
-                    .expect("service task committed without an output");
-                commit(env, o);
-            }),
-        );
+    /// The model's service machinery (packet trains, disk seeks) runs its
+    /// variate draws here, each on an RNG stream split at submission, so a
+    /// draw never depends on where its slot falls among other services.
+    pub fn spawn_service(&self, service: impl FnOnce(&Env) + 'static) {
+        let id = self.shared.services.borrow_mut().insert(Box::new(service));
         self.shared.schedule(
             self.shared.now(),
             Target::Task {
@@ -648,46 +493,17 @@ impl Env {
             },
             EventKind::Task,
         );
-        TaskId(id)
     }
 
     /// Run `compute` as a service task and await its output. The round
-    /// trip costs zero simulated time (the step commits at the current
+    /// trip costs zero simulated time (the service runs at the current
     /// instant and the wake fires at the current instant), so a blocking
-    /// caller can off-load its variate draws without perturbing its own
-    /// timing or wait attribution.
-    pub fn service<O, C>(&self, compute: C) -> Wait<O>
-    where
-        O: Send + 'static,
-        C: FnOnce(SimTime) -> O + Send + 'static,
-    {
+    /// caller can hand its variate draws to a service without perturbing
+    /// its own timing or wait attribution.
+    pub fn service<O: 'static>(&self, compute: impl FnOnce(SimTime) -> O + 'static) -> Wait<O> {
         let (tx, rx) = oneshot(self);
-        self.spawn_service(compute, move |_env, out| tx.fire(out));
+        self.spawn_service(move |env| tx.fire(compute(env.now())));
         rx.wait()
-    }
-
-    /// Cancel a live task: its state is dropped, its pending calendar entry
-    /// goes stale (the generation check skips it, exactly like a wake for a
-    /// finished process), and a service task's commit hook is discarded
-    /// unrun. Returns `false` if the task already finished — or is being
-    /// stepped inside the current dispatch window, which counts as too late
-    /// to cancel.
-    pub fn cancel_task(&self, id: TaskId) -> bool {
-        // `retire` (not `take` + retire) so cancellation also works while
-        // the occupant is moved out — e.g. a same-instant event committing
-        // ahead of a task the window already extracted. The generation bump
-        // turns that in-flight step's commit into a stale no-op, matching
-        // the serial loop, which would have skipped the step entirely.
-        let mut tasks = self.shared.tasks.borrow_mut();
-        if !tasks.is_live(id.0) {
-            return false;
-        }
-        let task = tasks.retire(id.0);
-        drop(tasks);
-        let hook = self.shared.take_hook(id.0.slot);
-        drop(hook);
-        drop(task);
-        true
     }
 
     /// Suspend the calling process for `d` simulated time.
@@ -957,5 +773,110 @@ mod tests {
             (sim.now(), sim.events_processed())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// The awaitable service round trip costs zero simulated time.
+    #[test]
+    fn env_service_round_trip_is_instant() {
+        let sim = Sim::new();
+        let env = sim.env();
+        let got = Rc::new(Cell::new((SimTime::MAX, 0u64)));
+        {
+            let got = Rc::clone(&got);
+            sim.spawn(async move {
+                env.hold(SimDuration::from_millis(7)).await;
+                let out = env.service(|now| now.as_nanos() * 2).await;
+                got.set((env.now(), out));
+            });
+        }
+        sim.run();
+        assert_eq!(got.get(), (SimTime::from_nanos(7_000_000), 14_000_000));
+        assert_eq!(sim.pending_services(), 0);
+    }
+
+    /// Each service takes its own calendar slot at the current instant, so
+    /// same-instant services and processes run in spawn (seq) order.
+    #[test]
+    fn same_instant_services_and_processes_run_in_seq_order() {
+        let sim = Sim::new();
+        sim.enable_profiling();
+        let env = sim.env();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3 {
+            let log2 = Rc::clone(&log);
+            env.spawn_service(move |env| {
+                log2.borrow_mut().push(format!("svc{i}"));
+                // A service may spawn; the child takes the next free slot.
+                let log3 = Rc::clone(&log2);
+                env.spawn(async move { log3.borrow_mut().push(format!("child{i}")) });
+            });
+            let log2 = Rc::clone(&log);
+            sim.spawn(async move { log2.borrow_mut().push(format!("proc{i}")) });
+        }
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            ["svc0", "proc0", "svc1", "proc1", "svc2", "proc2", "child0", "child1", "child2"]
+        );
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(sim.profile().count(EventKind::Task), 3);
+        assert_eq!(sim.profile().count(EventKind::Spawn), 6);
+    }
+
+    #[test]
+    fn finished_services_free_their_slots() {
+        let sim = Sim::new();
+        let env = sim.env();
+        let ran = Rc::new(Cell::new(0u32));
+        for _ in 0..4 {
+            let ran = Rc::clone(&ran);
+            env.spawn_service(move |_| ran.set(ran.get() + 1));
+        }
+        assert_eq!(sim.pending_services(), 4);
+        sim.run();
+        assert_eq!((ran.get(), sim.pending_services()), (4, 0));
+        // Freed slots are reused by the next wave, which still runs once.
+        for _ in 0..4 {
+            let ran = Rc::clone(&ran);
+            env.spawn_service(move |_| ran.set(ran.get() + 1));
+        }
+        sim.run();
+        assert_eq!((ran.get(), sim.pending_services()), (8, 0));
+    }
+
+    /// Sets its flag when dropped.
+    struct Sentinel(Rc<Cell<bool>>);
+
+    impl Drop for Sentinel {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    /// Parked processes and pending services hold `Env` clones; dropping
+    /// the `Sim` must still free them (and whatever they own).
+    #[test]
+    fn dropping_the_sim_frees_parked_processes_and_pending_services() {
+        let sim = Sim::new();
+        let env = sim.env();
+        let proc_dropped = Rc::new(Cell::new(false));
+        let service_dropped = Rc::new(Cell::new(false));
+        {
+            let sentinel = Sentinel(Rc::clone(&proc_dropped));
+            let env = env.clone();
+            sim.spawn(async move {
+                let _sentinel = sentinel;
+                env.hold(SimDuration::from_secs(10)).await;
+            });
+        }
+        sim.run_until(SimTime::from_nanos(1));
+        assert_eq!(sim.live_processes(), 1, "the process is parked");
+        let sentinel = Sentinel(Rc::clone(&service_dropped));
+        env.spawn_service(move |_| drop(sentinel));
+        assert_eq!(sim.pending_services(), 1);
+        drop(env);
+        drop(sim);
+        assert!(proc_dropped.get(), "parked process leaked");
+        assert!(service_dropped.get(), "pending service leaked");
     }
 }

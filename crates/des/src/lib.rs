@@ -8,7 +8,8 @@
 //! Primitives:
 //!
 //! * [`Sim`] / [`Env`] — the executor and the handle processes use to spawn,
-//!   read the clock, and sleep ([`Env::hold`]).
+//!   read the clock, sleep ([`Env::hold`]) and run service tasks
+//!   ([`Env::service`]).
 //! * [`Facility`] — an FCFS multi-server resource (CPU, disk, network) with
 //!   utilisation statistics.
 //! * [`Mailbox`] — unbounded FIFO message queues with blocking receive and
@@ -19,11 +20,8 @@
 //! * [`Tally`] / [`TimeWeighted`] — output statistics.
 //!
 //! Determinism: events at equal times fire in scheduling order, the RNG is
-//! self-contained, and processes run on one thread, so a run is a pure
-//! function of (program, seed). [`Sim::set_dispatch_jobs`] additionally
-//! enables a parallel dispatch window that steps [`WindowTask`]s on scoped
-//! worker threads and commits in `(time, seq)` order — deterministic
-//! outputs are identical for every job count.
+//! self-contained, and processes and service tasks ([`Env::spawn_service`])
+//! run on one thread, so a run is a pure function of (program, seed).
 //!
 //! ```
 //! use ccdb_des::{Sim, SimDuration, Facility};
@@ -54,7 +52,6 @@ mod rng;
 mod stats;
 mod sync;
 mod time;
-mod window;
 
 pub use facility::{Acquire, Facility, FacilityGuard, FacilitySnapshot, RestartCause, WaitClass};
 pub use kernel::{Env, EventKind, Hold, KernelProfile, ProcId, Sim};
@@ -65,4 +62,3 @@ pub use rng::Pcg32;
 pub use stats::{BatchMeans, Histogram, Tally, TimeWeighted};
 pub use sync::{Gate, GateWait, SemAcquire, Semaphore};
 pub use time::{SimDuration, SimTime};
-pub use window::{TaskId, WindowTask};

@@ -14,9 +14,9 @@
 //!
 //! The per-packet service draws are the message's *send part*: a service
 //! task (`Env::spawn_service`) computes the whole packet train's schedule
-//! from the message's own split RNG stream, off-thread when `--kernel-jobs`
-//! opens the parallel dispatch window, and the delivery process merely
-//! replays that schedule against the FCFS medium.
+//! from the message's own split RNG stream in its own calendar slot, and
+//! the delivery process merely replays that schedule against the FCFS
+//! medium.
 
 #![warn(missing_docs)]
 
@@ -163,15 +163,14 @@ impl Network {
 
     /// Send `msg` with a `payload_bytes` body from `from` to `to`.
     ///
-    /// Returns immediately. The message's per-packet exponential service
-    /// draws are computed by a service task on its own split RNG stream
-    /// (stream id = the message's submission index), so same-instant sends
-    /// pre-step in parallel on the dispatch window; the task's commit hook
-    /// then spawns the delivery process — sender CPU, per-packet FCFS
-    /// network occupancy from the precomputed schedule, receiver CPU,
-    /// mailbox deposit — so a sender is never blocked by delivery. Message
-    /// ordering between the same pair of stations is preserved only as far
-    /// as the FCFS facilities enforce it, exactly as in the paper's model.
+    /// Returns immediately. A service task draws the message's per-packet
+    /// exponential service times on its own split RNG stream (stream id =
+    /// the message's submission index) and spawns the delivery process —
+    /// sender CPU, per-packet FCFS network occupancy from the drawn
+    /// schedule, receiver CPU, mailbox deposit — so a sender is never
+    /// blocked by delivery. Message ordering between the same pair of
+    /// stations is preserved only as far as the FCFS facilities enforce
+    /// it, exactly as in the paper's model.
     pub fn send<S, R>(&self, from: &NetworkNode<S>, to: &NetworkNode<R>, msg: R, payload_bytes: u64)
     where
         S: 'static,
@@ -196,45 +195,40 @@ impl Network {
         let receiver_mips = to.mips;
         let dest = to.inbox.clone();
         let net_delay = self.net_delay;
-        self.env.spawn_service(
+        self.env.spawn_service(move |env| {
             // Send part: the packet train's service-time schedule.
-            move |_now| {
-                (0..packets)
-                    .map(|_| msg_rng.exp_duration(net_delay))
-                    .collect::<Vec<SimDuration>>()
-            },
-            // Serial commit: spawn the delivery process with the schedule.
-            move |env, schedule| {
-                env.spawn(async move {
-                    // Sender CPU cost for all packets of the message.
-                    if this.msg_cost > 0 {
-                        sender_cpu
-                            .use_for(SimDuration::from_instructions(
-                                this.msg_cost * packets,
-                                sender_mips,
-                            ))
-                            .await;
-                    }
-                    // Each packet occupies the network for its drawn service
-                    // time. A zero draw still passes through the facility
-                    // queue: a zero-cost packet waits its FCFS turn behind
-                    // packets already in flight rather than jumping ahead.
-                    for service in schedule {
-                        this.medium.use_for(service).await;
-                    }
-                    // Receiver CPU cost.
-                    if this.msg_cost > 0 {
-                        receiver_cpu
-                            .use_for(SimDuration::from_instructions(
-                                this.msg_cost * packets,
-                                receiver_mips,
-                            ))
-                            .await;
-                    }
-                    dest.send(msg);
-                });
-            },
-        );
+            let schedule: Vec<SimDuration> = (0..packets)
+                .map(|_| msg_rng.exp_duration(net_delay))
+                .collect();
+            env.spawn(async move {
+                // Sender CPU cost for all packets of the message.
+                if this.msg_cost > 0 {
+                    sender_cpu
+                        .use_for(SimDuration::from_instructions(
+                            this.msg_cost * packets,
+                            sender_mips,
+                        ))
+                        .await;
+                }
+                // Each packet occupies the network for its drawn service
+                // time. A zero draw still passes through the facility
+                // queue: a zero-cost packet waits its FCFS turn behind
+                // packets already in flight rather than jumping ahead.
+                for service in schedule {
+                    this.medium.use_for(service).await;
+                }
+                // Receiver CPU cost.
+                if this.msg_cost > 0 {
+                    receiver_cpu
+                        .use_for(SimDuration::from_instructions(
+                            this.msg_cost * packets,
+                            receiver_mips,
+                        ))
+                        .await;
+                }
+                dest.send(msg);
+            });
+        });
     }
 }
 
@@ -376,41 +370,6 @@ mod tests {
             SimTime::from_nanos(5_000_000),
             "zero-service packet must queue FCFS behind the busy medium"
         );
-    }
-
-    #[test]
-    fn packet_trains_are_identical_for_any_job_count() {
-        // The send part runs on the window: the delivery timeline must not
-        // depend on how many workers stepped it.
-        let run = |jobs: usize| {
-            let (sim, net, client, server) = setup(2, 1_000);
-            sim.set_dispatch_jobs(jobs);
-            let arrivals = Rc::new(RefCell::new(Vec::new()));
-            {
-                let server = server.clone();
-                let env = sim.env();
-                let arrivals = Rc::clone(&arrivals);
-                sim.spawn(async move {
-                    for _ in 0..30 {
-                        let _ = server.inbox.recv().await;
-                        arrivals.borrow_mut().push(env.now().as_nanos());
-                    }
-                });
-            }
-            for i in 0..30u64 {
-                net.send(&client, &server, "m", 100 * (i % 5));
-            }
-            sim.run();
-            (
-                sim.now(),
-                sim.events_processed(),
-                Rc::try_unwrap(arrivals).unwrap().into_inner(),
-            )
-        };
-        let serial = run(1);
-        for jobs in [2, 4] {
-            assert_eq!(run(jobs), serial, "jobs={jobs}");
-        }
     }
 
     #[test]

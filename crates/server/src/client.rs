@@ -58,6 +58,9 @@ pub struct LoadSummary {
     pub alg: String,
     /// Transactions committed (= clients × txns on success).
     pub commits: u64,
+    /// Of those, read-only callback-locking transactions that committed
+    /// at the client without a server round trip (`CommitAction::Local`).
+    pub local_commits: u64,
     /// Aborted attempts across all clients.
     pub aborts: u64,
     /// Page images verified byte-for-byte against their expected
@@ -115,6 +118,7 @@ struct LoadClient {
     conn: Conn,
     rng: Pcg32,
     aborts: u64,
+    local_commits: u64,
     verified: u64,
 }
 
@@ -240,7 +244,10 @@ impl LoadClient {
             }
         }
         match self.core.commit_step(&self.cache) {
-            CommitAction::Local => Ok(Ok(())),
+            CommitAction::Local => {
+                self.local_commits += 1;
+                Ok(Ok(()))
+            }
             CommitAction::Send { op, dirty, msg } => {
                 self.conn.send(msg)?;
                 let (kind, _payload) = self.await_reply(op)?;
@@ -300,7 +307,7 @@ impl LoadClient {
     }
 }
 
-fn run_client(id: u32, opts: &LoadOptions, done: &AtomicU32) -> io::Result<(String, u64, u64)> {
+fn run_client(id: u32, opts: &LoadOptions, done: &AtomicU32) -> io::Result<LoadSummary> {
     let sock = TcpStream::connect(&opts.addr)?;
     sock.set_nodelay(true).ok();
     let mut reader = BufReader::new(sock.try_clone()?);
@@ -349,6 +356,7 @@ fn run_client(id: u32, opts: &LoadOptions, done: &AtomicU32) -> io::Result<(Stri
         },
         rng: Pcg32::new(opts.seed, 20_000 + id as u64),
         aborts: 0,
+        local_commits: 0,
         verified: 0,
     };
 
@@ -368,12 +376,18 @@ fn run_client(id: u32, opts: &LoadOptions, done: &AtomicU32) -> io::Result<(Stri
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
-    let (aborts, verified) = (c.aborts, c.verified);
+    let summary = LoadSummary {
+        alg: alg_label,
+        commits: u64::from(opts.txns),
+        local_commits: c.local_commits,
+        aborts: c.aborts,
+        pages_verified: c.verified,
+    };
     write_frame(&mut c.conn.writer, &Frame::Bye, page_size)?;
     c.conn.writer.flush()?;
     drop(c);
     let _ = reader_thread.join();
-    Ok((alg_label, aborts, verified))
+    Ok(summary)
 }
 
 /// Run `clients` workstations against a live server; blocks until every
@@ -391,11 +405,12 @@ pub fn load(opts: &LoadOptions) -> io::Result<LoadSummary> {
     let mut failure: Option<io::Error> = None;
     for h in handles {
         match h.join() {
-            Ok(Ok((alg, aborts, verified))) => {
-                summary.alg = alg;
-                summary.commits += opts.txns as u64;
-                summary.aborts += aborts;
-                summary.pages_verified += verified;
+            Ok(Ok(c)) => {
+                summary.alg = c.alg;
+                summary.commits += c.commits;
+                summary.local_commits += c.local_commits;
+                summary.aborts += c.aborts;
+                summary.pages_verified += c.pages_verified;
             }
             Ok(Err(e)) => failure = Some(e),
             Err(_) => {

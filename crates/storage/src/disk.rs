@@ -10,8 +10,8 @@
 //! Each access's *send part* — the seek/clustering variate draws and the
 //! block-train arithmetic — runs as a service task (`Env::service`) on a
 //! split RNG stream of its own (stream id = the disk's access counter at
-//! submission), so same-instant disk work pre-steps on the parallel
-//! dispatch window; only the FCFS queue visit itself stays in the process.
+//! submission), in the task's own calendar slot; only the FCFS queue visit
+//! itself stays in the process.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -62,7 +62,7 @@ impl Disk {
 
     /// Split a fresh RNG stream for one access, drawn from the disk's
     /// parent stream in submission order; the access's variates then
-    /// consume only its own stream, wherever its task actually steps.
+    /// consume only its own stream, wherever its service task's slot falls.
     fn split_access_rng(&self) -> Pcg32 {
         let ix = self.accesses.get();
         self.accesses.set(ix + 1);
@@ -120,8 +120,7 @@ impl Disk {
 
     /// Service several blocks in one queue visit (e.g. a multi-page log
     /// force): one seek (unless sequential) plus `blocks` transfers. The
-    /// block-train arithmetic is a service task too, so same-instant log
-    /// forces pre-step alongside the seek draws.
+    /// block-train arithmetic is a service task too, like the seek draws.
     pub async fn access_many(&self, blocks: u64, sequential: bool) {
         if blocks == 0 {
             return;

@@ -224,7 +224,6 @@ pub fn run_sweep_resumed(
             .series
             .map(|s| s.capacity)
             .unwrap_or_else(|| ObsOptions::default().ring_capacity),
-        ..ObsOptions::default()
     };
 
     // First wave: the initial replication count for every cell. Global

@@ -99,7 +99,6 @@ struct Options {
     precision: Option<f64>,
     max_reps: Option<u32>,
     jobs: Option<usize>,
-    kernel_jobs: Option<usize>,
     out: Option<String>,
     label: Option<String>,
     lock_shards: Option<u32>,
@@ -144,7 +143,6 @@ impl Default for Options {
             precision: None,
             max_reps: None,
             jobs: None,
-            kernel_jobs: None,
             out: None,
             label: None,
             lock_shards: None,
@@ -312,13 +310,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 o.jobs = Some(n);
             }
-            "--kernel-jobs" => {
-                let n: usize = val.parse().map_err(|e| format!("--kernel-jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--kernel-jobs must be positive".to_string());
-                }
-                o.kernel_jobs = Some(n);
-            }
             "--out" => o.out = Some(val.clone()),
             "--label" => {
                 if val.is_empty()
@@ -452,7 +443,6 @@ fn build_spec(o: &Options, family: Family) -> Result<SweepSpec, String> {
 fn obs_options(opts: &Options) -> ObsOptions {
     ObsOptions {
         sample_interval: opts.sample_interval.map(SimDuration::from_secs_f64),
-        kernel_jobs: opts.kernel_jobs.unwrap_or(1),
         ..ObsOptions::default()
     }
 }
@@ -709,7 +699,7 @@ fn usage() {
          [--exp acl|caching|short|large|fast-server|fast-net|interactive] [--seed N] \
          [--warmup S] [--measure S] [--csv] [--json] [--jsonl] [--sample-interval S] \
          [--series] [--svg] [--trace-cap N] [--chrome FILE] [--reps N] [--precision F] \
-         [--max-reps N] [--jobs N] [--kernel-jobs N] [--out DIR|FILE] [--lock-shards N] [--shard I/N] \
+         [--max-reps N] [--jobs N] [--out DIR|FILE] [--lock-shards N] [--shard I/N] \
          [--checkpoint FILE|DIR] [--resume FILE] [--fsync-every N] [--quick] \
          [--label NAME] [--check BASELINE]\n       \
          ccdb serve --alg A [--port N] [--clients N] [--mpl N] [--lock-shards N] \
@@ -1208,7 +1198,7 @@ fn main() -> ExitCode {
         "load" => cmd_load(&opts),
         "run" => match one_run_config(&opts) {
             Ok(cfg) => {
-                if opts.json || opts.sample_interval.is_some() || opts.kernel_jobs.is_some() {
+                if opts.json || opts.sample_interval.is_some() {
                     let observed =
                         run_simulation_observed(cfg, Trace::disabled(), obs_options(&opts));
                     if opts.json {

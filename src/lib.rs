@@ -60,9 +60,8 @@ pub use ccdb_sweep as sweep;
 
 pub use ccdb_core::{
     experiments, run_replicated_observed, run_simulation, run_simulation_observed,
-    run_simulation_profiled, run_simulation_profiled_jobs, run_simulation_traced, AbortKind,
-    Algorithm, MetricsHub, ObsOptions, Observed, Profiled, ReplicatedObserved, RunReport,
-    SimConfig, Trace, TraceSpan, TypeResponse,
+    run_simulation_profiled, run_simulation_traced, AbortKind, Algorithm, MetricsHub, ObsOptions,
+    Observed, Profiled, ReplicatedObserved, RunReport, SimConfig, Trace, TraceSpan, TypeResponse,
 };
 pub use ccdb_des::{EventKind, KernelProfile, SimDuration, SimTime};
 pub use ccdb_model::{DatabaseSpec, SystemParams, TxnParams};

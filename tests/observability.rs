@@ -133,7 +133,6 @@ fn ring_capacity_triggers_folding_not_eviction() {
         ObsOptions {
             sample_interval: Some(SimDuration::from_secs(1)),
             ring_capacity: 4,
-            ..ObsOptions::default()
         },
     );
     let series = o.series.as_ref().unwrap();

@@ -82,8 +82,11 @@ fn round_trip_on(alg: Algorithm, clients: u32, txns: u32, engine_shards: u32, th
         .join()
         .expect("server thread panicked")
         .expect("serve failed");
+    // Read-only callback transactions that hit every page in cache commit
+    // at the client and never reach the server.
     assert_eq!(
-        commits, summary.commits,
+        commits,
+        summary.commits - summary.local_commits,
         "server and driver disagree on commits"
     );
 

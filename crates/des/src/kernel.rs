@@ -229,13 +229,14 @@ impl KernelShared {
         s
     }
 
-    /// Schedule a wake; borrows only the calendar.
+    /// Schedule a wake; borrows only the calendar. A wake due now joins
+    /// the calendar's same-instant lane, any later one its heap.
     pub(crate) fn schedule(&self, at: SimTime, target: Target, kind: EventKind) {
         debug_assert!(at >= self.now.get(), "cannot schedule a wake in the past");
         let seq = self.next_seq();
         self.calendar
             .borrow_mut()
-            .push(Entry::new(at, seq, target, kind));
+            .push(Entry::new(at, seq, target, kind), self.now.get());
     }
 
     /// Advance the clock to `deadline` when the calendar ran dry first.
@@ -821,6 +822,45 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.profile().count(EventKind::Task), 3);
         assert_eq!(sim.profile().count(EventKind::Spawn), 6);
+    }
+
+    /// Holds scheduled at t=0 to expire at t=5 sit on the heap; what the
+    /// first of them schedules *at* t=5 (a spawn, a service, a zero hold)
+    /// joins the same-instant lane. The heap entries carry the smaller
+    /// seqs, so both remaining holds fire before any lane entry, and the
+    /// lane entries then fire in seq order.
+    #[test]
+    fn holds_due_now_fire_before_same_instant_wakes() {
+        let sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let t5 = SimTime::from_nanos(5);
+        {
+            let (env, log) = (sim.env(), Rc::clone(&log));
+            sim.spawn(async move {
+                env.hold(SimDuration::from_nanos(5)).await;
+                log.borrow_mut().push(("first", env.now()));
+                let log2 = Rc::clone(&log);
+                let env2 = env.clone();
+                env.spawn(async move { log2.borrow_mut().push(("child", env2.now())) });
+                let log2 = Rc::clone(&log);
+                env.spawn_service(move |env| log2.borrow_mut().push(("service", env.now())));
+                env.hold(SimDuration::ZERO).await;
+                log.borrow_mut().push(("zero-hold", env.now()));
+            });
+        }
+        for name in ["second", "third"] {
+            let (env, log) = (sim.env(), Rc::clone(&log));
+            sim.spawn(async move {
+                env.hold(SimDuration::from_nanos(5)).await;
+                log.borrow_mut().push((name, env.now()));
+            });
+        }
+        sim.run();
+        let want: Vec<_> = ["first", "second", "third", "child", "service", "zero-hold"]
+            .into_iter()
+            .map(|name| (name, t5))
+            .collect();
+        assert_eq!(*log.borrow(), want);
     }
 
     #[test]

@@ -198,8 +198,9 @@ pub struct LockManager {
     /// Deferred callback promises: (page, client) will release when `TxnId`
     /// (the client's current transaction) terminates.
     deferred: HashMap<(PageId, ClientId), TxnId>,
-    /// Owning client of each active transaction (victim bookkeeping).
-    txn_client: HashMap<TxnId, ClientId>,
+    /// Pages each transaction has passed to `enqueue_request`: the only
+    /// pages whose entries can name it (see [`LockManager::forget_txn`]).
+    requested: HashMap<TxnId, Vec<PageId>>,
     stats: LockStats,
 }
 
@@ -301,15 +302,16 @@ impl LockManager {
         mode: Mode,
     ) -> EnqueueOutcome {
         self.stats.requests += 1;
-        self.txn_client.insert(txn, client);
         let entry = self.table.entry(page).or_default();
 
-        // Already held strongly enough?
+        // Already held strongly enough? (The holder came from an earlier
+        // request, so the page is already recorded.)
         match entry.txn_mode(txn) {
             Some(Mode::X) => return EnqueueOutcome::Granted,
             Some(Mode::S) if mode == Mode::S => return EnqueueOutcome::Granted,
             _ => {}
         }
+        self.requested.entry(txn).or_default().push(page);
         let upgrade = entry.txn_mode(txn) == Some(Mode::S) && mode == Mode::X;
 
         if Self::grantable(entry, txn, client, mode, upgrade) && (upgrade || entry.queue.is_empty())
@@ -464,7 +466,6 @@ impl LockManager {
             wakes.extend(w);
             callbacks.extend(cb);
         }
-        self.finish_txn(txn);
         (wakes, callbacks)
     }
 
@@ -528,11 +529,6 @@ impl LockManager {
     /// `release_retained` when the client's release message arrives.
     pub(crate) fn clear_deferred_of(&mut self, txn: TxnId) {
         self.deferred.retain(|_, t| *t != txn);
-    }
-
-    /// Forget the txn → client mapping once every lock is released.
-    pub(crate) fn finish_txn(&mut self, txn: TxnId) {
-        self.txn_client.remove(&txn);
     }
 
     /// Withdraw every queued request of `txn` (a page can carry several:
@@ -760,22 +756,62 @@ impl LockManager {
         out
     }
 
-    /// Assert that `txn` holds no locks and has no queued requests
-    /// anywhere in the table (used by the simulator's oracle to catch lock
-    /// leaks at transaction end).
-    pub fn assert_txn_gone(&self, txn: TxnId) {
-        for (page, entry) in &self.table {
-            for h in &entry.holders {
-                assert!(
-                    h.owner != Owner::Txn(txn),
-                    "lock leak: {txn:?} still holds {:?} on {page:?}",
-                    h.mode
-                );
-            }
-            for r in &entry.queue {
-                assert!(r.txn != txn, "queue leak: {txn:?} still queued on {page:?}");
+    /// Drop `txn`'s record of requested pages; call it once the
+    /// transaction has ended (committed or aborted, every lock released).
+    /// The record is dropped either way, so nothing here grows with the
+    /// number of transactions.
+    ///
+    /// With `check` (the simulator's oracle) it first asserts — in release
+    /// builds too — that `txn` left nothing behind: no holder and no queued
+    /// request on any page it requested, and no `held` or `waiting` entry.
+    /// Scanning only those pages is complete: a transaction can appear in a
+    /// lock entry only on a page it passed to `enqueue_request`, the one
+    /// place a queue entry or an [`Owner::Txn`] holder is created, and a
+    /// grant only promotes a queue head on its own page. Debug builds
+    /// re-verify that with a scan of the whole table.
+    pub fn forget_txn(&mut self, txn: TxnId, check: bool) {
+        let pages = self.requested.remove(&txn);
+        if !check {
+            return;
+        }
+        for page in pages.iter().flatten() {
+            if let Some(entry) = self.table.get(page) {
+                Self::assert_entry_free_of(entry, txn, *page);
             }
         }
+        self.assert_maps_free_of(txn);
+        #[cfg(debug_assertions)]
+        self.assert_txn_gone(txn);
+    }
+
+    /// Assert that `txn` holds no locks and has no queued requests
+    /// anywhere in the table. This scans every entry, so its cost grows
+    /// with the table (under callback locking, every retained lock of
+    /// every client); [`LockManager::forget_txn`] checks the same thing
+    /// over the transaction's own pages and runs this scan as a cross-check
+    /// in debug builds only.
+    #[cfg(debug_assertions)]
+    fn assert_txn_gone(&self, txn: TxnId) {
+        for (page, entry) in &self.table {
+            Self::assert_entry_free_of(entry, txn, *page);
+        }
+        self.assert_maps_free_of(txn);
+    }
+
+    fn assert_entry_free_of(entry: &Entry, txn: TxnId, page: PageId) {
+        for h in &entry.holders {
+            assert!(
+                h.owner != Owner::Txn(txn),
+                "lock leak: {txn:?} still holds {:?} on {page:?}",
+                h.mode
+            );
+        }
+        for r in &entry.queue {
+            assert!(r.txn != txn, "queue leak: {txn:?} still queued on {page:?}");
+        }
+    }
+
+    fn assert_maps_free_of(&self, txn: TxnId) {
         assert!(!self.held.contains_key(&txn), "held-map leak for {txn:?}");
         assert!(
             !self.waiting.contains_key(&txn),
@@ -823,5 +859,40 @@ impl LockManager {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccdb_model::ClassId;
+
+    fn page(n: u32) -> PageId {
+        PageId {
+            class: ClassId(0),
+            atom: n,
+        }
+    }
+
+    #[test]
+    fn forget_txn_drops_the_page_record_with_or_without_the_check() {
+        let mut lm = LockManager::new();
+        for (txn, check) in [(TxnId(1), false), (TxnId(2), true)] {
+            lm.request(txn, ClientId(1), page(1), Mode::S);
+            lm.request(txn, ClientId(1), page(2), Mode::X);
+            assert_eq!(lm.requested[&txn], [page(1), page(2)]);
+            lm.release_all(txn, None);
+            lm.forget_txn(txn, check);
+            assert!(lm.requested.is_empty(), "record of {txn:?} kept");
+        }
+    }
+
+    #[test]
+    fn re_requesting_a_held_lock_is_not_recorded_twice() {
+        let mut lm = LockManager::new();
+        lm.request(TxnId(1), ClientId(1), page(1), Mode::X);
+        lm.request(TxnId(1), ClientId(1), page(1), Mode::S);
+        lm.request(TxnId(1), ClientId(1), page(1), Mode::X);
+        assert_eq!(lm.requested[&TxnId(1)], [page(1)]);
     }
 }

@@ -232,9 +232,6 @@ impl ShardedLockManager {
             wakes.extend(w);
             callbacks.extend(cb);
         }
-        for s in &self.shards {
-            s.borrow_mut().finish_txn(txn);
-        }
         (wakes, callbacks)
     }
 
@@ -297,11 +294,12 @@ impl ShardedLockManager {
             .collect()
     }
 
-    /// Assert that `txn` holds no locks and has no queued requests in any
-    /// shard.
-    pub fn assert_txn_gone(&self, txn: TxnId) {
+    /// Drop `txn`'s record of requested pages in every shard, asserting
+    /// first under `check` that it left no lock state behind. Same contract
+    /// as [`LockManager::forget_txn`].
+    pub fn forget_txn(&self, txn: TxnId, check: bool) {
         for s in &self.shards {
-            s.borrow().assert_txn_gone(txn);
+            s.borrow_mut().forget_txn(txn, check);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Behavioural tests of the lock manager, covering every protocol path the
 //! algorithms rely on.
 
-use ccdb_lock::{ClientId, LockManager, Mode, RequestOutcome, TxnId};
+use ccdb_lock::{ClientId, LockManager, Mode, RequestOutcome, ShardedLockManager, TxnId};
 use ccdb_model::{ClassId, PageId};
 
 fn page(n: u32) -> PageId {
@@ -758,4 +758,108 @@ mod write_retention {
             Mode::S
         )));
     }
+}
+
+// ---- The oracle's lock-leak check at transaction end -------------------
+//
+// `forget_txn(txn, true)` scans only the pages `txn` requested and must
+// still catch every leak, in release builds as well (the full-table scan
+// is a debug-only cross-check), so these also run under
+// `cargo test --release`.
+
+#[test]
+fn forget_txn_passes_once_everything_is_released() {
+    let mut lm = LockManager::new();
+    assert!(granted(&lm.request(
+        TxnId(1),
+        ClientId(1),
+        page(1),
+        Mode::X
+    )));
+    assert!(blocked(&lm.request(
+        TxnId(2),
+        ClientId(2),
+        page(1),
+        Mode::S
+    )));
+    lm.abort(TxnId(2));
+    lm.forget_txn(TxnId(2), true);
+    lm.release_all(TxnId(1), Some(ClientId(1)));
+    lm.forget_txn(TxnId(1), true);
+}
+
+#[test]
+#[should_panic(expected = "queue leak: TxnId(2) still queued")]
+fn forget_txn_catches_a_queued_request_left_behind() {
+    let mut lm = LockManager::new();
+    assert!(granted(&lm.request(
+        TxnId(1),
+        ClientId(1),
+        page(1),
+        Mode::X
+    )));
+    assert!(blocked(&lm.request(
+        TxnId(2),
+        ClientId(2),
+        page(1),
+        Mode::X
+    )));
+    lm.forget_txn(TxnId(2), true);
+}
+
+#[test]
+#[should_panic(expected = "lock leak: TxnId(1) still holds S")]
+fn forget_txn_catches_a_holder_left_behind() {
+    let mut lm = LockManager::new();
+    assert!(granted(&lm.request(
+        TxnId(1),
+        ClientId(1),
+        page(1),
+        Mode::S
+    )));
+    assert!(granted(&lm.request(
+        TxnId(1),
+        ClientId(1),
+        page(2),
+        Mode::X
+    )));
+    lm.forget_txn(TxnId(1), true);
+}
+
+#[test]
+#[should_panic(expected = "lock leak: TxnId(2) still holds S")]
+fn forget_txn_catches_a_holder_granted_from_the_queue() {
+    // The holder was installed by a grant from the queue, not by the
+    // request itself: the request's page record must cover it.
+    let mut lm = LockManager::new();
+    assert!(granted(&lm.request(
+        TxnId(1),
+        ClientId(1),
+        page(1),
+        Mode::X
+    )));
+    assert!(blocked(&lm.request(
+        TxnId(2),
+        ClientId(2),
+        page(1),
+        Mode::S
+    )));
+    let (wakes, _) = lm.release_all(TxnId(1), None);
+    assert_eq!(wakes.len(), 1);
+    lm.forget_txn(TxnId(2), true);
+}
+
+#[test]
+#[should_panic(expected = "lock leak: TxnId(1) still holds X")]
+fn sharded_forget_txn_catches_a_holder_left_behind() {
+    let lm = ShardedLockManager::new(4);
+    for n in 0..8 {
+        assert!(granted(&lm.request(
+            TxnId(1),
+            ClientId(1),
+            page(n),
+            Mode::X
+        )));
+    }
+    lm.forget_txn(TxnId(1), true);
 }

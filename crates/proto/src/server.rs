@@ -453,12 +453,12 @@ impl ServerCore {
         self.lm.retained_pages(client)
     }
 
-    /// Drop the transaction entry after commit or abort. Under the oracle,
-    /// asserts the lock manager holds nothing for it first.
+    /// Drop the transaction entry after commit or abort, and the lock
+    /// manager's record of the pages it requested. Under the oracle, the
+    /// lock manager first asserts it holds nothing for the transaction
+    /// (see [`ShardedLockManager::forget_txn`]).
     pub fn forget_txn(&mut self, txn: TxnId) {
-        if self.oracle {
-            self.lm.assert_txn_gone(txn);
-        }
+        self.lm.forget_txn(txn, self.oracle);
         self.txns.remove(&txn);
     }
 

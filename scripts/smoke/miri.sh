@@ -2,7 +2,8 @@
 # Miri smoke: the DES kernel's unit tests run under Miri's undefined-
 # behaviour and aliasing checks. The split-borrow kernel deliberately
 # avoids new `unsafe` (the only unsafe block is the no-op waker), so the
-# whole arena/calendar/window machinery must come out clean.
+# whole arena, slab and calendar (lane + heap) machinery must come out
+# clean.
 #
 # Only a missing toolchain is forgivable: when no nightly Miri can be
 # set up (e.g. offline dev boxes) the smoke skips with a notice — unless

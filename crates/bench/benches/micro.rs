@@ -40,16 +40,16 @@ fn kernel_events(c: &mut Criterion) {
     // Everything here is scheduled at the current instant, so it runs on
     // the calendar's same-instant lane; `hold_chain` is the heap path.
     g.bench_function("same_instant_fanout", |b| {
-        // Per round: one service, one child spawn and the zero hold that
-        // lets them run; plus the parent's own spawn, EVENTS in total.
+        // Per round: one child spawn, one service hop and one zero hold;
+        // plus the parent's own spawn, EVENTS in total.
         const ROUNDS: u64 = (EVENTS - 1) / 3;
         b.iter(|| {
             let sim = Sim::new();
             let env = sim.env();
             sim.spawn(async move {
                 for _ in 0..ROUNDS {
-                    env.spawn_service(|_| {});
                     env.spawn(async {});
+                    env.hop().await;
                     env.hold(SimDuration::ZERO).await;
                 }
             });

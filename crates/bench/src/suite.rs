@@ -87,11 +87,11 @@ fn matrix(ctl: &BenchCtl) -> Vec<(&'static str, SimConfig)> {
             )),
         ),
         (
-            // Service-task-heavy: 50 callback clients hammering a 10% hot
+            // Service-slot-heavy: 50 callback clients hammering a 10% hot
             // region. Every client caches the hot pages, so each update
             // commit broadcasts invalidations to ~all clients in one
-            // instant — dense same-instant bursts of packet-train and disk
-            // service tasks.
+            // instant — dense same-instant bursts of message and disk
+            // service hops.
             "svc_cb_50",
             horizon(svc_heavy_config()),
         ),
@@ -212,10 +212,10 @@ fn run_server_case(
     case
 }
 
-/// The service-task-heavy workload behind `svc_cb_50`: callback locking,
+/// The service-slot-heavy workload behind `svc_cb_50`: callback locking,
 /// 50 clients, and a 10% hot region taking 70% of accesses, so
 /// invalidation broadcasts (and the disk traffic they cause) arrive as
-/// wide same-instant bursts of service tasks.
+/// wide same-instant bursts of service hops.
 fn svc_heavy_config() -> SimConfig {
     let mut cfg = experiments::short_txn(Algorithm::Callback, 50, 0.25, 0.5);
     cfg.db = cfg.db.with_skew(ccdb_model::AccessSkew {

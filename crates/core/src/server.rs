@@ -68,9 +68,23 @@ pub struct ServerState {
     grants: HashMap<(TxnId, PageId), VecDeque<OneshotSender<GrantResult>>>,
 }
 
-/// The server: cheap to clone into handler processes.
+/// The server: one `Rc`, so the dispatcher hands each per-message
+/// handler process its own handle for one reference-count bump. Derefs to
+/// its [`ServerParts`].
 #[derive(Clone)]
-pub struct Server {
+pub struct Server(Rc<ServerParts>);
+
+impl std::ops::Deref for Server {
+    type Target = ServerParts;
+
+    fn deref(&self) -> &ServerParts {
+        &self.0
+    }
+}
+
+/// The server's stations, disks, log and shared state, reached through a
+/// [`Server`] handle.
+pub struct ServerParts {
     env: Env,
     cfg: Rc<SimConfig>,
     /// The server station (CPUs + inbox of `(from, msg)`).
@@ -138,7 +152,7 @@ impl Server {
             txns: HashMap::default(),
             grants: HashMap::default(),
         }));
-        let server = Server {
+        let server = Server(Rc::new(ServerParts {
             env: env.clone(),
             cfg,
             node,
@@ -150,7 +164,7 @@ impl Server {
             state,
             book,
             trace,
-        };
+        }));
         let dispatcher = server.clone();
         env.spawn(async move {
             loop {

@@ -1,7 +1,6 @@
 //! Slab arenas backing the split-borrow kernel.
 //!
-//! [`Slab`] stores process futures and service callbacks in reusable,
-//! generation-counted slots, so a stale calendar entry can never resume an
+//! [`Slab`] stores process futures in reusable, generation-counted slots, so a stale calendar entry can never resume an
 //! unrelated occupant that reused the slot. [`WaitArena`] is the
 //! allocation-free replacement for the per-wait `Rc<RefCell<...>>` cells the
 //! synchronization primitives used to box: a parked waiter owns one `u32`

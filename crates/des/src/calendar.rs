@@ -10,8 +10,8 @@
 //! seq-uniqueness invariant ever broke. Here that hazard is excluded
 //! structurally: `Ord` is implemented by hand on the packed key alone.
 //!
-//! Most wakes (spawns, services, hand-offs, zero holds) are scheduled at the
-//! current instant. Those go to a FIFO lane instead of the heap, and
+//! Most wakes (spawns, service hops, hand-offs, zero holds) are scheduled at
+//! the current instant. Those go to a FIFO lane instead of the heap, and
 //! `Calendar::pop_due` takes whichever of the lane front and the heap top
 //! has the smaller key. This pops exactly what one heap would:
 //!
@@ -30,31 +30,23 @@
 
 use std::collections::VecDeque;
 
-use crate::kernel::EventKind;
+use crate::kernel::{EventKind, ProcId};
 use crate::time::SimTime;
 
-/// What a calendar entry wakes: an ordinary simulation process or a
-/// pending service task ([`Env::spawn_service`](crate::Env::spawn_service)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Target {
-    Proc { slot: u32, generation: u32 },
-    Task { slot: u32, generation: u32 },
-}
-
-/// One scheduled wake. Ordering is by `(time, seq)` only; `target` and
-/// `kind` are payload.
+/// One scheduled wake of process `proc`. Ordering is by `(time, seq)`
+/// only; `proc` and `kind` are payload.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Entry {
     key: u128,
-    pub(crate) target: Target,
+    pub(crate) proc: ProcId,
     pub(crate) kind: EventKind,
 }
 
 impl Entry {
-    pub(crate) fn new(time: SimTime, seq: u64, target: Target, kind: EventKind) -> Self {
+    pub(crate) fn new(time: SimTime, seq: u64, proc: ProcId, kind: EventKind) -> Self {
         Entry {
             key: ((time.as_nanos() as u128) << 64) | seq as u128,
-            target,
+            proc,
             kind,
         }
     }
@@ -64,7 +56,7 @@ impl Entry {
         SimTime::from_nanos((self.key >> 64) as u64)
     }
 
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn seq(&self) -> u64 {
         self.key as u64
     }
@@ -86,7 +78,7 @@ impl PartialOrd for Entry {
 
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // (time, seq) only — `kind` and `target` must never break ties.
+        // (time, seq) only — `kind` and `proc` must never break ties.
         self.key.cmp(&other.key)
     }
 }
@@ -215,16 +207,12 @@ mod tests {
     use super::*;
     use std::cmp::Ordering;
 
+    fn proc(slot: u32, generation: u32) -> ProcId {
+        ProcId { slot, generation }
+    }
+
     fn entry(ns: u64, seq: u64, kind: EventKind) -> Entry {
-        Entry::new(
-            SimTime::from_nanos(ns),
-            seq,
-            Target::Proc {
-                slot: 0,
-                generation: 0,
-            },
-            kind,
-        )
+        Entry::new(SimTime::from_nanos(ns), seq, proc(0, 0), kind)
     }
 
     #[test]
@@ -232,24 +220,8 @@ mod tests {
         // The old derived Ord made `kind` a tiebreaker after (time, seq).
         // Pin that (time, seq) alone decides: same key, different kinds,
         // different targets — still Equal.
-        let a = Entry::new(
-            SimTime::from_nanos(5),
-            7,
-            Target::Proc {
-                slot: 1,
-                generation: 2,
-            },
-            EventKind::Spawn,
-        );
-        let b = Entry::new(
-            SimTime::from_nanos(5),
-            7,
-            Target::Task {
-                slot: 9,
-                generation: 4,
-            },
-            EventKind::Oneshot,
-        );
+        let a = Entry::new(SimTime::from_nanos(5), 7, proc(1, 2), EventKind::Spawn);
+        let b = Entry::new(SimTime::from_nanos(5), 7, proc(9, 4), EventKind::Oneshot);
         assert_eq!(a.cmp(&b), Ordering::Equal);
         assert_eq!(a, b);
         // And a kind that sorts high never outranks a lower seq.

@@ -151,11 +151,17 @@ pub struct FacilitySnapshot {
     pub max_wait_s: f64,
 }
 
-/// A first-come first-served multi-server resource.
+/// What a [`Facility`] handle points at.
+struct Shared {
+    env: Env,
+    inner: RefCell<Inner>,
+}
+
+/// A first-come first-served multi-server resource. A handle is one
+/// `Rc`: cloning it is one reference-count bump.
 #[derive(Clone)]
 pub struct Facility {
-    env: Env,
-    inner: Rc<RefCell<Inner>>,
+    shared: Rc<Shared>,
 }
 
 impl Facility {
@@ -163,82 +169,77 @@ impl Facility {
     pub fn new(env: &Env, name: impl Into<String>, servers: u32) -> Self {
         assert!(servers > 0, "facility needs at least one server");
         Facility {
-            env: env.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                name: name.into(),
-                servers,
-                wait_class: WaitClass::Other,
-                busy: 0,
-                queue: VecDeque::new(),
-                stats_start: env.now(),
-                last_change: env.now(),
-                busy_integral: 0.0,
-                queue_integral: 0.0,
-                completions: 0,
-                total_service: SimDuration::ZERO,
-                waits: 0,
-                total_wait: SimDuration::ZERO,
-                max_wait: SimDuration::ZERO,
-            })),
+            shared: Rc::new(Shared {
+                env: env.clone(),
+                inner: RefCell::new(Inner {
+                    name: name.into(),
+                    servers,
+                    wait_class: WaitClass::Other,
+                    busy: 0,
+                    queue: VecDeque::new(),
+                    stats_start: env.now(),
+                    last_change: env.now(),
+                    busy_integral: 0.0,
+                    queue_integral: 0.0,
+                    completions: 0,
+                    total_service: SimDuration::ZERO,
+                    waits: 0,
+                    total_wait: SimDuration::ZERO,
+                    max_wait: SimDuration::ZERO,
+                }),
+            }),
         }
     }
 
     /// Tag this facility with the resource class its queueing time is
     /// attributed to. Returns `self` for builder-style wiring.
     pub fn with_wait_class(self, class: WaitClass) -> Self {
-        self.inner.borrow_mut().wait_class = class;
+        self.shared.inner.borrow_mut().wait_class = class;
         self
     }
 
     /// The resource class queueing at this facility is attributed to.
     pub fn wait_class(&self) -> WaitClass {
-        self.inner.borrow().wait_class
+        self.shared.inner.borrow().wait_class
     }
 
     /// Facility name (for reports).
     pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
+        self.shared.inner.borrow().name.clone()
     }
 
     /// Number of servers.
     pub fn servers(&self) -> u32 {
-        self.inner.borrow().servers
+        self.shared.inner.borrow().servers
     }
 
     /// Servers currently busy.
     pub fn busy(&self) -> u32 {
-        self.inner.borrow().busy
+        self.shared.inner.borrow().busy
     }
 
     /// Processes currently queued (not yet holding a server).
     pub fn queue_len(&self) -> usize {
-        self.inner.borrow().queue.len()
+        self.shared.inner.borrow().queue.len()
     }
 
     /// Acquire one server; resolves to an RAII guard that releases on drop.
-    pub fn acquire(&self) -> Acquire {
+    pub fn acquire(&self) -> Acquire<'_> {
         Acquire {
-            facility: self.clone(),
+            facility: self,
             state: AcquireState::Start,
         }
     }
 
-    /// Take a server immediately if one is idle; never queues. Exactly the
-    /// immediate-grant path of [`Facility::acquire`], so a router (e.g. a
-    /// CPU pool) can dispatch to idle members without an event.
-    pub fn try_acquire(&self) -> Option<FacilityGuard> {
-        self.seize_for_grant().then(|| self.assume_seized())
-    }
-
-    /// The busy-count half of [`Facility::try_acquire`]: seize an idle
-    /// server without materializing the guard, so a grant can be recorded
-    /// in a wait cell and the woken waiter can reconstruct the guard itself
-    /// via [`Facility::assume_seized`]. Statistics behave exactly like
-    /// `try_acquire` (the integrals are touched even when no server is
-    /// idle).
-    pub(crate) fn seize_for_grant(&self) -> bool {
-        let now = self.env.now();
-        let mut inner = self.inner.borrow_mut();
+    /// Take a server if one is idle, without a guard; never queues. The
+    /// immediate-grant path of [`Facility::acquire`], also used by a CPU
+    /// pool, which routes to idle cores without an event, holds a core
+    /// through its own borrowing guard and gives it back with
+    /// [`Facility::release_one`]. The integrals are touched even when no
+    /// server is idle.
+    pub(crate) fn try_seize(&self) -> bool {
+        let now = self.shared.env.now();
+        let mut inner = self.shared.inner.borrow_mut();
         inner.touch(now);
         if inner.busy < inner.servers {
             inner.busy += 1;
@@ -249,7 +250,8 @@ impl Facility {
     }
 
     /// Materialize the guard for a server previously seized with
-    /// [`Facility::seize_for_grant`]. Dropping it releases that server.
+    /// [`Facility::try_seize`] or handed over by a release. Dropping it
+    /// releases that server.
     pub(crate) fn assume_seized(&self) -> FacilityGuard {
         FacilityGuard {
             facility: self.clone(),
@@ -260,7 +262,7 @@ impl Facility {
     /// Acquire a server, hold it for `service`, release it. The common case.
     pub async fn use_for(&self, service: SimDuration) {
         let guard = self.acquire().await;
-        self.env.hold(service).await;
+        self.shared.env.hold(service).await;
         drop(guard);
     }
 
@@ -268,8 +270,8 @@ impl Facility {
     /// observing never perturbs the busy-time integral, so a sampled run
     /// reports bit-identical utilisation to an unsampled one.
     pub fn utilization(&self) -> f64 {
-        let inner = self.inner.borrow();
-        let now = self.env.now();
+        let inner = self.shared.inner.borrow();
+        let now = self.shared.env.now();
         let elapsed = now.since(inner.stats_start).as_secs_f64();
         if elapsed <= 0.0 {
             0.0
@@ -280,8 +282,8 @@ impl Facility {
 
     /// Time-averaged queue length. A pure read, like [`Facility::utilization`].
     pub fn mean_queue_len(&self) -> f64 {
-        let inner = self.inner.borrow();
-        let now = self.env.now();
+        let inner = self.shared.inner.borrow();
+        let now = self.shared.env.now();
         let elapsed = now.since(inner.stats_start).as_secs_f64();
         if elapsed <= 0.0 {
             0.0
@@ -292,22 +294,22 @@ impl Facility {
 
     /// Completed service periods.
     pub fn completions(&self) -> u64 {
-        self.inner.borrow().completions
+        self.shared.inner.borrow().completions
     }
 
     /// Acquisitions that had to queue since the last statistics reset.
     pub fn waits(&self) -> u64 {
-        self.inner.borrow().waits
+        self.shared.inner.borrow().waits
     }
 
     /// Total enqueue→grant wait time of queued acquisitions.
     pub fn total_wait(&self) -> SimDuration {
-        self.inner.borrow().total_wait
+        self.shared.inner.borrow().total_wait
     }
 
     /// Longest single enqueue→grant wait.
     pub fn max_wait(&self) -> SimDuration {
-        self.inner.borrow().max_wait
+        self.shared.inner.borrow().max_wait
     }
 
     /// Snapshot the statistics for a report.
@@ -326,9 +328,9 @@ impl Facility {
 
     /// Reset the statistics integrals (e.g. at the end of warm-up).
     pub fn reset_stats(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.stats_start = self.env.now();
-        inner.last_change = self.env.now();
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.stats_start = self.shared.env.now();
+        inner.last_change = self.shared.env.now();
         inner.busy_integral = 0.0;
         inner.queue_integral = 0.0;
         inner.completions = 0;
@@ -338,9 +340,10 @@ impl Facility {
         inner.max_wait = SimDuration::ZERO;
     }
 
-    fn release_one(&self) {
-        let now = self.env.now();
-        let mut inner = self.inner.borrow_mut();
+    /// Give back one server: hand it to the first live waiter, or idle it.
+    pub(crate) fn release_one(&self) {
+        let now = self.shared.env.now();
+        let mut inner = self.shared.inner.borrow_mut();
         inner.touch(now);
         debug_assert!(inner.busy > 0, "release without acquire");
         inner.completions += 1;
@@ -351,18 +354,20 @@ impl Facility {
                 inner.busy -= 1;
                 return;
             };
-            match self.env.wait_word(w.handle) {
+            match self.shared.env.wait_word(w.handle) {
                 // Stale handle: the waiter departed (cancelled). Skip.
                 None => continue,
                 Some(QUEUED) => {
-                    self.env.set_wait_word(w.handle, GRANTED);
+                    self.shared.env.set_wait_word(w.handle, GRANTED);
                     let waited = now.since(w.enqueued_at.max(inner.stats_start));
                     inner.waits += 1;
                     inner.total_wait += waited;
                     inner.max_wait = inner.max_wait.max(waited);
                     // busy count unchanged: the server transfers directly.
                     drop(inner);
-                    self.env.schedule_wake(now, w.pid, EventKind::Facility);
+                    self.shared
+                        .env
+                        .schedule_wake(now, w.pid, EventKind::Facility);
                     return;
                 }
                 Some(_) => unreachable!("granted waiter still queued"),
@@ -382,42 +387,34 @@ enum AcquireState {
     Done,
 }
 
-/// Future returned by [`Facility::acquire`].
-pub struct Acquire {
-    facility: Facility,
+/// Future returned by [`Facility::acquire`]; borrows its facility.
+pub struct Acquire<'a> {
+    facility: &'a Facility,
     state: AcquireState,
 }
 
-impl Future for Acquire {
+impl Future for Acquire<'_> {
     type Output = FacilityGuard;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<FacilityGuard> {
-        let env = self.facility.env.clone();
+        let facility = self.facility;
+        let env = &facility.shared.env;
         let now = env.now();
         match self.state {
             AcquireState::Start => {
-                let mut inner = self.facility.inner.borrow_mut();
-                inner.touch(now);
-                if inner.busy < inner.servers {
-                    inner.busy += 1;
-                    drop(inner);
+                if facility.try_seize() {
                     // Mark consumed so our Drop impl doesn't double-release.
                     self.state = AcquireState::Done;
-                    Poll::Ready(FacilityGuard {
-                        facility: self.facility.clone(),
-                        released: false,
-                    })
-                } else {
-                    let handle = env.alloc_wait(QUEUED);
-                    inner.queue.push_back(Waiter {
-                        pid: env.current(),
-                        handle,
-                        enqueued_at: now,
-                    });
-                    drop(inner);
-                    self.state = AcquireState::Waiting(handle);
-                    Poll::Pending
+                    return Poll::Ready(facility.assume_seized());
                 }
+                let handle = env.alloc_wait(QUEUED);
+                facility.shared.inner.borrow_mut().queue.push_back(Waiter {
+                    pid: env.current(),
+                    handle,
+                    enqueued_at: now,
+                });
+                self.state = AcquireState::Waiting(handle);
+                Poll::Pending
             }
             AcquireState::Waiting(handle) => {
                 match env.wait_word(handle) {
@@ -425,10 +422,7 @@ impl Future for Acquire {
                         // Consume the grant and give the cell back.
                         env.free_wait(handle);
                         self.state = AcquireState::Done;
-                        Poll::Ready(FacilityGuard {
-                            facility: self.facility.clone(),
-                            released: false,
-                        })
+                        Poll::Ready(facility.assume_seized())
                     }
                     Some(_) => Poll::Pending,
                     None => unreachable!("wait cell freed while future still parked"),
@@ -441,12 +435,13 @@ impl Future for Acquire {
     }
 }
 
-impl Drop for Acquire {
+impl Drop for Acquire<'_> {
     fn drop(&mut self) {
         if let AcquireState::Waiting(handle) = self.state {
-            let granted = self.facility.env.wait_word(handle) == Some(GRANTED);
+            let env = &self.facility.shared.env;
+            let granted = env.wait_word(handle) == Some(GRANTED);
             // Freeing the cell turns our queue entry stale (= cancelled).
-            self.facility.env.free_wait(handle);
+            env.free_wait(handle);
             if granted {
                 // Dropped after the server was handed over but before the
                 // guard was constructed: give the server back.

@@ -8,8 +8,8 @@
 //! Primitives:
 //!
 //! * [`Sim`] / [`Env`] — the executor and the handle processes use to spawn,
-//!   read the clock, sleep ([`Env::hold`]) and run service tasks
-//!   ([`Env::service`]).
+//!   read the clock, sleep ([`Env::hold`]) and take same-instant service
+//!   slots ([`Env::hop`], [`Env::service`]).
 //! * [`Facility`] — an FCFS multi-server resource (CPU, disk, network) with
 //!   utilisation statistics.
 //! * [`Mailbox`] — unbounded FIFO message queues with blocking receive and
@@ -20,8 +20,8 @@
 //! * [`Tally`] / [`TimeWeighted`] — output statistics.
 //!
 //! Determinism: events at equal times fire in scheduling order, the RNG is
-//! self-contained, and processes and service tasks ([`Env::spawn_service`])
-//! run on one thread, so a run is a pure function of (program, seed).
+//! self-contained, and every process runs on one thread, so a run is a pure
+//! function of (program, seed).
 //!
 //! ```
 //! use ccdb_des::{Sim, SimDuration, Facility};
@@ -54,7 +54,7 @@ mod sync;
 mod time;
 
 pub use facility::{Acquire, Facility, FacilityGuard, FacilitySnapshot, RestartCause, WaitClass};
-pub use kernel::{Env, EventKind, Hold, KernelProfile, ProcId, Sim};
+pub use kernel::{Env, EventKind, Hold, Hop, KernelProfile, ProcId, Sim};
 pub use mailbox::{Mailbox, Recv, RecvUntil};
 pub use oneshot::{oneshot, OneshotReceiver, OneshotSender, Wait};
 pub use pool::{CpuGuard, CpuPool, PoolAcquire};

@@ -31,17 +31,22 @@ struct Inner<T> {
     total_sent: u64,
 }
 
-/// An unbounded FIFO channel for simulation messages.
-pub struct Mailbox<T> {
+/// What a [`Mailbox`] handle points at.
+struct Shared<T> {
     env: Env,
-    inner: Rc<RefCell<Inner<T>>>,
+    inner: RefCell<Inner<T>>,
+}
+
+/// An unbounded FIFO channel for simulation messages. A handle is one
+/// `Rc`: cloning it is one reference-count bump.
+pub struct Mailbox<T> {
+    shared: Rc<Shared<T>>,
 }
 
 impl<T> Clone for Mailbox<T> {
     fn clone(&self) -> Self {
         Mailbox {
-            env: self.env.clone(),
-            inner: Rc::clone(&self.inner),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
@@ -50,31 +55,33 @@ impl<T> Mailbox<T> {
     /// Create an empty mailbox.
     pub fn new(env: &Env) -> Self {
         Mailbox {
-            env: env.clone(),
-            inner: Rc::new(RefCell::new(Inner {
-                queue: VecDeque::new(),
-                waiters: VecDeque::new(),
-                total_sent: 0,
-            })),
+            shared: Rc::new(Shared {
+                env: env.clone(),
+                inner: RefCell::new(Inner {
+                    queue: VecDeque::new(),
+                    waiters: VecDeque::new(),
+                    total_sent: 0,
+                }),
+            }),
         }
     }
 
     /// Deposit a message. Never blocks. If a process is waiting, it is
     /// resumed at the current simulation time.
     pub fn send(&self, msg: T) {
-        let mut inner = self.inner.borrow_mut();
+        let env = &self.shared.env;
+        let mut inner = self.shared.inner.borrow_mut();
         inner.queue.push_back(msg);
         inner.total_sent += 1;
         // Wake the frontmost live waiter (one message wakes one receiver).
         // The waiter leaves the queue now; clearing its cell makes it
         // re-register if some other process takes the message first.
         while let Some(w) = inner.waiters.pop_front() {
-            if self.env.wait_word(w.handle) == Some(ACTIVE) {
-                self.env.set_wait_word(w.handle, IDLE);
+            if env.wait_word(w.handle) == Some(ACTIVE) {
+                env.set_wait_word(w.handle, IDLE);
                 let pid = w.pid;
                 drop(inner);
-                self.env
-                    .schedule_wake(self.env.now(), pid, EventKind::Mailbox);
+                env.schedule_wake(env.now(), pid, EventKind::Mailbox);
                 return;
             }
         }
@@ -82,37 +89,37 @@ impl<T> Mailbox<T> {
 
     /// Number of queued messages.
     pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
+        self.shared.inner.borrow().queue.len()
     }
 
     /// True if no messages are queued.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().queue.is_empty()
+        self.shared.inner.borrow().queue.is_empty()
     }
 
     /// Total messages ever sent.
     pub fn total_sent(&self) -> u64 {
-        self.inner.borrow().total_sent
+        self.shared.inner.borrow().total_sent
     }
 
     /// Take a message if one is queued.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.borrow_mut().queue.pop_front()
+        self.shared.inner.borrow_mut().queue.pop_front()
     }
 
     /// Suspend until a message is available, then take it.
-    pub fn recv(&self) -> Recv<T> {
+    pub fn recv(&self) -> Recv<'_, T> {
         Recv {
-            mailbox: self.clone(),
+            mailbox: self,
             waiter: None,
         }
     }
 
     /// Suspend until a message is available or until absolute time
     /// `deadline`. Resolves to `Some(msg)` or `None` on timeout.
-    pub fn recv_until(&self, deadline: SimTime) -> RecvUntil<T> {
+    pub fn recv_until(&self, deadline: SimTime) -> RecvUntil<'_, T> {
         RecvUntil {
-            mailbox: self.clone(),
+            mailbox: self,
             deadline,
             waiter: None,
             timer_set: false,
@@ -120,18 +127,19 @@ impl<T> Mailbox<T> {
     }
 }
 
-/// Future returned by [`Mailbox::recv`].
-pub struct Recv<T> {
-    mailbox: Mailbox<T>,
+/// Future returned by [`Mailbox::recv`]; borrows its mailbox.
+pub struct Recv<'a, T> {
+    mailbox: &'a Mailbox<T>,
     waiter: Option<WaitHandle>,
 }
 
-impl<T> Future for Recv<T> {
+impl<T> Future for Recv<'_, T> {
     type Output = T;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-        let env = self.mailbox.env.clone();
-        let msg = self.mailbox.inner.borrow_mut().queue.pop_front();
+        let shared = &self.mailbox.shared;
+        let env = &shared.env;
+        let msg = shared.inner.borrow_mut().queue.pop_front();
         if let Some(msg) = msg {
             if let Some(h) = self.waiter.take() {
                 env.free_wait(h);
@@ -154,43 +162,40 @@ impl<T> Future for Recv<T> {
                     h
                 }
             };
-            self.mailbox
-                .inner
-                .borrow_mut()
-                .waiters
-                .push_back(RecvWaiter {
-                    pid: env.current(),
-                    handle,
-                });
+            shared.inner.borrow_mut().waiters.push_back(RecvWaiter {
+                pid: env.current(),
+                handle,
+            });
         }
         Poll::Pending
     }
 }
 
-impl<T> Drop for Recv<T> {
+impl<T> Drop for Recv<'_, T> {
     fn drop(&mut self) {
         if let Some(h) = self.waiter.take() {
             // Any queue entry pointing at the cell goes stale.
-            self.mailbox.env.free_wait(h);
+            self.mailbox.shared.env.free_wait(h);
         }
     }
 }
 
-/// Future returned by [`Mailbox::recv_until`].
-pub struct RecvUntil<T> {
-    mailbox: Mailbox<T>,
+/// Future returned by [`Mailbox::recv_until`]; borrows its mailbox.
+pub struct RecvUntil<'a, T> {
+    mailbox: &'a Mailbox<T>,
     deadline: SimTime,
     waiter: Option<WaitHandle>,
     timer_set: bool,
 }
 
-impl<T> Future for RecvUntil<T> {
+impl<T> Future for RecvUntil<'_, T> {
     type Output = Option<T>;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let env = self.mailbox.env.clone();
+        let shared = &self.mailbox.shared;
+        let env = &shared.env;
         let now = env.now();
-        let msg = self.mailbox.inner.borrow_mut().queue.pop_front();
+        let msg = shared.inner.borrow_mut().queue.pop_front();
         if let Some(msg) = msg {
             if let Some(h) = self.waiter.take() {
                 env.free_wait(h);
@@ -217,14 +222,10 @@ impl<T> Future for RecvUntil<T> {
                     h
                 }
             };
-            self.mailbox
-                .inner
-                .borrow_mut()
-                .waiters
-                .push_back(RecvWaiter {
-                    pid: env.current(),
-                    handle,
-                });
+            shared.inner.borrow_mut().waiters.push_back(RecvWaiter {
+                pid: env.current(),
+                handle,
+            });
         }
         if !self.timer_set {
             let pid = env.current();
@@ -235,10 +236,10 @@ impl<T> Future for RecvUntil<T> {
     }
 }
 
-impl<T> Drop for RecvUntil<T> {
+impl<T> Drop for RecvUntil<'_, T> {
     fn drop(&mut self) {
         if let Some(h) = self.waiter.take() {
-            self.mailbox.env.free_wait(h);
+            self.mailbox.shared.env.free_wait(h);
         }
     }
 }

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use crate::arena::WaitHandle;
-use crate::facility::{Facility, FacilityGuard, FacilitySnapshot, WaitClass};
+use crate::facility::{Facility, FacilitySnapshot, WaitClass};
 use crate::kernel::{Env, EventKind, ProcId};
 use crate::time::{SimDuration, SimTime};
 
@@ -58,14 +58,20 @@ impl PoolInner {
     }
 }
 
+/// What a [`CpuPool`] handle points at.
+struct Shared {
+    env: Env,
+    cores: Vec<Facility>,
+    inner: RefCell<PoolInner>,
+}
+
 /// An array of per-core CPU [`Facility`]s with least-index-idle routing
 /// and an FCFS overflow queue. See the module docs for the equivalence
-/// argument with a multi-server facility.
+/// argument with a multi-server facility. A handle is one `Rc`: cloning
+/// it is one reference-count bump.
 #[derive(Clone)]
 pub struct CpuPool {
-    env: Env,
-    cores: Rc<Vec<Facility>>,
-    inner: Rc<RefCell<PoolInner>>,
+    shared: Rc<Shared>,
 }
 
 impl CpuPool {
@@ -78,45 +84,47 @@ impl CpuPool {
             .map(|i| Facility::new(env, format!("{name}-{i}"), 1).with_wait_class(class))
             .collect();
         CpuPool {
-            env: env.clone(),
-            cores: Rc::new(cores),
-            inner: Rc::new(RefCell::new(PoolInner {
-                name,
-                queue: VecDeque::new(),
-                stats_start: env.now(),
-                last_change: env.now(),
-                queue_integral: 0.0,
-                waits: 0,
-                total_wait: SimDuration::ZERO,
-                max_wait: SimDuration::ZERO,
-            })),
+            shared: Rc::new(Shared {
+                env: env.clone(),
+                cores,
+                inner: RefCell::new(PoolInner {
+                    name,
+                    queue: VecDeque::new(),
+                    stats_start: env.now(),
+                    last_change: env.now(),
+                    queue_integral: 0.0,
+                    waits: 0,
+                    total_wait: SimDuration::ZERO,
+                    max_wait: SimDuration::ZERO,
+                }),
+            }),
         }
     }
 
     /// Pool name (aggregate reporting).
     pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
+        self.shared.inner.borrow().name.clone()
     }
 
     /// Number of cores.
     pub fn servers(&self) -> u32 {
-        self.cores.len() as u32
+        self.shared.cores.len() as u32
     }
 
     /// The per-core facilities, in routing (index) order.
     pub fn cores(&self) -> &[Facility] {
-        &self.cores
+        &self.shared.cores
     }
 
     /// Requests waiting in the overflow queue.
     pub fn queue_len(&self) -> usize {
-        self.inner.borrow().queue.len()
+        self.shared.inner.borrow().queue.len()
     }
 
     /// Acquire a core; resolves to an RAII guard that releases on drop.
-    pub fn acquire(&self) -> PoolAcquire {
+    pub fn acquire(&self) -> PoolAcquire<'_> {
         PoolAcquire {
-            pool: self.clone(),
+            pool: self,
             state: PoolState::Start,
         }
     }
@@ -124,15 +132,20 @@ impl CpuPool {
     /// Acquire a core, hold it for `service`, release it.
     pub async fn use_for(&self, service: SimDuration) {
         let guard = self.acquire().await;
-        self.env.hold(service).await;
+        self.shared.env.hold(service).await;
         drop(guard);
     }
 
     /// Mean utilisation across cores (equals the multi-server facility's
     /// per-server utilisation).
     pub fn utilization(&self) -> f64 {
-        let n = self.cores.len() as f64;
-        self.cores.iter().map(|c| c.utilization()).sum::<f64>() / n
+        let n = self.shared.cores.len() as f64;
+        self.shared
+            .cores
+            .iter()
+            .map(|c| c.utilization())
+            .sum::<f64>()
+            / n
     }
 
     /// Time-averaged overflow-queue length. A pure read: the pending
@@ -140,8 +153,8 @@ impl CpuPool {
     /// observing (e.g. the time-series sampler) never changes what a later
     /// read reports.
     pub fn mean_queue_len(&self) -> f64 {
-        let inner = self.inner.borrow();
-        let now = self.env.now();
+        let inner = self.shared.inner.borrow();
+        let now = self.shared.env.now();
         let elapsed = now.since(inner.stats_start).as_secs_f64();
         if elapsed <= 0.0 {
             0.0
@@ -154,22 +167,22 @@ impl CpuPool {
 
     /// Completed service periods, summed across cores.
     pub fn completions(&self) -> u64 {
-        self.cores.iter().map(|c| c.completions()).sum()
+        self.shared.cores.iter().map(|c| c.completions()).sum()
     }
 
     /// Acquisitions that had to queue.
     pub fn waits(&self) -> u64 {
-        self.inner.borrow().waits
+        self.shared.inner.borrow().waits
     }
 
     /// Total enqueue→grant wait time of queued acquisitions.
     pub fn total_wait(&self) -> SimDuration {
-        self.inner.borrow().total_wait
+        self.shared.inner.borrow().total_wait
     }
 
     /// Longest single enqueue→grant wait.
     pub fn max_wait(&self) -> SimDuration {
-        self.inner.borrow().max_wait
+        self.shared.inner.borrow().max_wait
     }
 
     /// Aggregate snapshot under the pool name (the multi-server view).
@@ -188,48 +201,58 @@ impl CpuPool {
 
     /// Per-core snapshots, in routing order.
     pub fn core_snapshots(&self) -> Vec<FacilitySnapshot> {
-        self.cores.iter().map(|c| c.snapshot()).collect()
+        self.shared.cores.iter().map(|c| c.snapshot()).collect()
     }
 
     /// Reset all statistics (end of warm-up), pool and cores.
     pub fn reset_stats(&self) {
-        for c in self.cores.iter() {
+        for c in self.shared.cores.iter() {
             c.reset_stats();
         }
-        let mut inner = self.inner.borrow_mut();
-        inner.stats_start = self.env.now();
-        inner.last_change = self.env.now();
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.stats_start = self.shared.env.now();
+        inner.last_change = self.shared.env.now();
         inner.queue_integral = 0.0;
         inner.waits = 0;
         inner.total_wait = SimDuration::ZERO;
         inner.max_wait = SimDuration::ZERO;
     }
 
-    /// A guard was dropped and `core` is idle: hand it to the first live
-    /// overflow waiter (exact FCFS, one wake at the release instant).
+    /// Release `core` (its facility hands it to a waiter queued on the
+    /// core itself, if any), then hand it to the first live overflow
+    /// waiter.
+    fn release(&self, core: usize) {
+        self.shared.cores[core].release_one();
+        self.grant_next(core);
+    }
+
+    /// `core` is idle: hand it to the first live overflow waiter (exact
+    /// FCFS, one wake at the release instant).
     fn grant_next(&self, core: usize) {
-        let now = self.env.now();
-        let mut inner = self.inner.borrow_mut();
+        let now = self.shared.env.now();
+        let mut inner = self.shared.inner.borrow_mut();
         inner.touch(now);
         loop {
             let Some(w) = inner.queue.pop_front() else {
                 return;
             };
-            if self.env.wait_word(w.handle) != Some(QUEUED) {
+            if self.shared.env.wait_word(w.handle) != Some(QUEUED) {
                 // Stale handle: the waiter departed (cancelled). Skip.
                 continue;
             }
             assert!(
-                self.cores[core].seize_for_grant(),
+                self.shared.cores[core].try_seize(),
                 "core freed by the dropping guard"
             );
             let waited = now.since(w.enqueued_at.max(inner.stats_start));
             inner.waits += 1;
             inner.total_wait += waited;
             inner.max_wait = inner.max_wait.max(waited);
-            self.env.set_wait_word(w.handle, GRANT_BASE + core as u32);
+            self.shared
+                .env
+                .set_wait_word(w.handle, GRANT_BASE + core as u32);
             drop(inner);
-            self.env.schedule_wake(now, w.pid, EventKind::Pool);
+            self.shared.env.schedule_wake(now, w.pid, EventKind::Pool);
             return;
         }
     }
@@ -247,33 +270,30 @@ enum PoolState {
     Done,
 }
 
-/// Future returned by [`CpuPool::acquire`].
-pub struct PoolAcquire {
-    pool: CpuPool,
+/// Future returned by [`CpuPool::acquire`]; borrows its pool.
+pub struct PoolAcquire<'a> {
+    pool: &'a CpuPool,
     state: PoolState,
 }
 
-impl Future for PoolAcquire {
-    type Output = CpuGuard;
+impl<'a> Future for PoolAcquire<'a> {
+    type Output = CpuGuard<'a>;
 
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<CpuGuard> {
-        let env = self.pool.env.clone();
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<CpuGuard<'a>> {
+        let pool = self.pool;
+        let env = &pool.shared.env;
         match self.state {
             PoolState::Start => {
                 // Least-index-idle routing.
-                for (i, c) in self.pool.cores.iter().enumerate() {
-                    if let Some(guard) = c.try_acquire() {
+                for (core, c) in pool.shared.cores.iter().enumerate() {
+                    if c.try_seize() {
                         self.state = PoolState::Done;
-                        return Poll::Ready(CpuGuard {
-                            pool: self.pool.clone(),
-                            core: i,
-                            guard: Some(guard),
-                        });
+                        return Poll::Ready(CpuGuard { pool, core });
                     }
                 }
                 // All cores busy: enter the overflow queue.
                 let now = env.now();
-                let mut inner = self.pool.inner.borrow_mut();
+                let mut inner = pool.shared.inner.borrow_mut();
                 inner.touch(now);
                 let handle = env.alloc_wait(QUEUED);
                 inner.queue.push_back(PoolWaiter {
@@ -291,11 +311,7 @@ impl Future for PoolAcquire {
                     let core = (word - GRANT_BASE) as usize;
                     env.free_wait(handle);
                     self.state = PoolState::Done;
-                    Poll::Ready(CpuGuard {
-                        pool: self.pool.clone(),
-                        core,
-                        guard: Some(self.pool.cores[core].assume_seized()),
-                    })
+                    Poll::Ready(CpuGuard { pool, core })
                 }
                 None => unreachable!("wait cell freed while future still parked"),
             },
@@ -304,34 +320,32 @@ impl Future for PoolAcquire {
     }
 }
 
-impl Drop for PoolAcquire {
+impl Drop for PoolAcquire<'_> {
     fn drop(&mut self) {
         if let PoolState::Waiting(handle) = self.state {
-            let word = self.pool.env.wait_word(handle);
+            let env = &self.pool.shared.env;
+            let word = env.wait_word(handle);
             // Freeing the cell turns our queue entry stale (= cancelled).
-            self.pool.env.free_wait(handle);
+            env.free_wait(handle);
             if let Some(word) = word {
                 if word >= GRANT_BASE {
                     // Dropped after handover but before the guard was taken:
                     // free the core and pass it on.
-                    let core = (word - GRANT_BASE) as usize;
-                    drop(self.pool.cores[core].assume_seized());
-                    self.pool.grant_next(core);
+                    self.pool.release((word - GRANT_BASE) as usize);
                 }
             }
         }
     }
 }
 
-/// RAII guard for one acquired core. Dropping releases the core and hands
-/// it to the next overflow waiter.
-pub struct CpuGuard {
-    pool: CpuPool,
+/// RAII guard for one acquired core; borrows its pool. Dropping releases
+/// the core and hands it to the next overflow waiter.
+pub struct CpuGuard<'a> {
+    pool: &'a CpuPool,
     core: usize,
-    guard: Option<FacilityGuard>,
 }
 
-impl CpuGuard {
+impl CpuGuard<'_> {
     /// The core index this guard holds (for attribution / tests).
     pub fn core(&self) -> usize {
         self.core
@@ -341,12 +355,9 @@ impl CpuGuard {
     pub fn release(self) {}
 }
 
-impl Drop for CpuGuard {
+impl Drop for CpuGuard<'_> {
     fn drop(&mut self) {
-        if let Some(g) = self.guard.take() {
-            drop(g);
-            self.pool.grant_next(self.core);
-        }
+        self.pool.release(self.core);
     }
 }
 

@@ -12,11 +12,12 @@
 //! (asynchronous sends are what no-wait locking and callbacks rely on; a
 //! synchronous request simply awaits the reply mailbox).
 //!
-//! The per-packet service draws are the message's *send part*: a service
-//! task (`Env::spawn_service`) computes the whole packet train's schedule
-//! from the message's own split RNG stream in its own calendar slot, and
-//! the delivery process merely replays that schedule against the FCFS
-//! medium.
+//! [`Network::send`] spawns the delivery process at once; the process's
+//! first act is a service hop (`Env::hop`), which gives the message's
+//! *send part* its own same-instant calendar slot. Each packet's service
+//! time is then drawn as the packet is served, from the message's own RNG
+//! stream split at submission, so the draws do not depend on where any
+//! slot falls. A message costs one allocation: the delivery process.
 
 #![warn(missing_docs)]
 
@@ -93,52 +94,60 @@ struct NetInner {
     stats: NetStats,
 }
 
-/// The shared FCFS network.
-#[derive(Clone)]
-pub struct Network {
+/// What a [`Network`] handle points at.
+struct Shared {
     env: Env,
     medium: Facility,
     msg_cost: u64,
     packet_size: u32,
     net_delay: SimDuration,
-    inner: Rc<RefCell<NetInner>>,
+    inner: RefCell<NetInner>,
+}
+
+/// The shared FCFS network. A handle is one `Rc`: cloning it (once per
+/// message, into the delivery process) is one reference-count bump.
+#[derive(Clone)]
+pub struct Network {
+    shared: Rc<Shared>,
 }
 
 impl Network {
     /// Build the network from the system parameters.
     pub fn new(env: &Env, params: &SystemParams, rng: Pcg32) -> Self {
         Network {
-            env: env.clone(),
-            medium: Facility::new(env, "network", 1).with_wait_class(WaitClass::Network),
-            msg_cost: params.msg_cost,
-            packet_size: params.packet_size,
-            net_delay: params.net_delay,
-            inner: Rc::new(RefCell::new(NetInner {
-                rng,
-                stats: NetStats::default(),
-            })),
+            shared: Rc::new(Shared {
+                env: env.clone(),
+                medium: Facility::new(env, "network", 1).with_wait_class(WaitClass::Network),
+                msg_cost: params.msg_cost,
+                packet_size: params.packet_size,
+                net_delay: params.net_delay,
+                inner: RefCell::new(NetInner {
+                    rng,
+                    stats: NetStats::default(),
+                }),
+            }),
         }
     }
 
     /// Statistics counters.
     pub fn stats(&self) -> NetStats {
-        self.inner.borrow().stats
+        self.shared.inner.borrow().stats
     }
 
     /// Network medium utilisation.
     pub fn utilization(&self) -> f64 {
-        self.medium.utilization()
+        self.shared.medium.utilization()
     }
 
     /// The shared medium facility (reports and sampling).
     pub fn medium(&self) -> &Facility {
-        &self.medium
+        &self.shared.medium
     }
 
     /// Register the medium's gauges (`net.util`, `net.qlen`) and traffic
     /// counters (`net.messages`, `net.packets`, `net.bytes`).
     pub fn register_metrics(&self, registry: &ccdb_obs::Registry) {
-        registry.facility("net", &self.medium);
+        registry.facility("net", self.medium());
         let this = self.clone();
         registry.counter_fn("net.messages", move || this.stats().messages);
         let this = self.clone();
@@ -149,7 +158,7 @@ impl Network {
 
     /// Reset medium statistics (end of warm-up).
     pub fn reset_stats(&self) {
-        self.medium.reset_stats();
+        self.shared.medium.reset_stats();
     }
 
     /// Packets for a payload of `bytes`.
@@ -157,20 +166,20 @@ impl Network {
         if bytes == 0 {
             1
         } else {
-            bytes.div_ceil(self.packet_size as u64)
+            bytes.div_ceil(self.shared.packet_size as u64)
         }
     }
 
     /// Send `msg` with a `payload_bytes` body from `from` to `to`.
     ///
-    /// Returns immediately. A service task draws the message's per-packet
-    /// exponential service times on its own split RNG stream (stream id =
-    /// the message's submission index) and spawns the delivery process —
-    /// sender CPU, per-packet FCFS network occupancy from the drawn
-    /// schedule, receiver CPU, mailbox deposit — so a sender is never
-    /// blocked by delivery. Message ordering between the same pair of
-    /// stations is preserved only as far as the FCFS facilities enforce
-    /// it, exactly as in the paper's model.
+    /// Returns immediately, having spawned the delivery process: a service
+    /// hop, sender CPU, per-packet FCFS network occupancy, receiver CPU,
+    /// mailbox deposit. Each packet's exponential service time is drawn as
+    /// it is served, from the message's own split RNG stream (stream id =
+    /// the message's submission index), so a sender is never blocked by
+    /// delivery. Message ordering between the same pair of stations is
+    /// preserved only as far as the FCFS facilities enforce it, exactly
+    /// as in the paper's model.
     pub fn send<S, R>(&self, from: &NetworkNode<S>, to: &NetworkNode<R>, msg: R, payload_bytes: u64)
     where
         S: 'static,
@@ -178,7 +187,7 @@ impl Network {
     {
         let packets = self.packets_for(payload_bytes);
         let mut msg_rng = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.shared.inner.borrow_mut();
             inner.stats.messages += 1;
             inner.stats.packets += packets;
             inner.stats.bytes += payload_bytes;
@@ -189,45 +198,32 @@ impl Network {
             inner.rng.split(ix)
         };
         let this = self.clone();
-        let sender_cpu = from.cpu.clone();
-        let sender_mips = from.mips;
-        let receiver_cpu = to.cpu.clone();
-        let receiver_mips = to.mips;
+        let (sender_cpu, sender_mips) = (from.cpu.clone(), from.mips);
+        let (receiver_cpu, receiver_mips) = (to.cpu.clone(), to.mips);
         let dest = to.inbox.clone();
-        let net_delay = self.net_delay;
-        self.env.spawn_service(move |env| {
-            // Send part: the packet train's service-time schedule.
-            let schedule: Vec<SimDuration> = (0..packets)
-                .map(|_| msg_rng.exp_duration(net_delay))
-                .collect();
-            env.spawn(async move {
-                // Sender CPU cost for all packets of the message.
-                if this.msg_cost > 0 {
-                    sender_cpu
-                        .use_for(SimDuration::from_instructions(
-                            this.msg_cost * packets,
-                            sender_mips,
-                        ))
-                        .await;
-                }
-                // Each packet occupies the network for its drawn service
-                // time. A zero draw still passes through the facility
-                // queue: a zero-cost packet waits its FCFS turn behind
-                // packets already in flight rather than jumping ahead.
-                for service in schedule {
-                    this.medium.use_for(service).await;
-                }
-                // Receiver CPU cost.
-                if this.msg_cost > 0 {
-                    receiver_cpu
-                        .use_for(SimDuration::from_instructions(
-                            this.msg_cost * packets,
-                            receiver_mips,
-                        ))
-                        .await;
-                }
-                dest.send(msg);
-            });
+        self.shared.env.spawn(async move {
+            let net = &*this.shared;
+            // The send part's slot.
+            net.env.hop().await;
+            // Sender CPU cost for all packets of the message.
+            if net.msg_cost > 0 {
+                let cost = SimDuration::from_instructions(net.msg_cost * packets, sender_mips);
+                sender_cpu.use_for(cost).await;
+            }
+            // Each packet occupies the network for its drawn service
+            // time. A zero draw still passes through the facility
+            // queue: a zero-cost packet waits its FCFS turn behind
+            // packets already in flight rather than jumping ahead.
+            for _ in 0..packets {
+                let service = msg_rng.exp_duration(net.net_delay);
+                net.medium.use_for(service).await;
+            }
+            // Receiver CPU cost.
+            if net.msg_cost > 0 {
+                let cost = SimDuration::from_instructions(net.msg_cost * packets, receiver_mips);
+                receiver_cpu.use_for(cost).await;
+            }
+            dest.send(msg);
         });
     }
 }
@@ -236,7 +232,7 @@ impl Network {
 mod tests {
     use super::*;
     use ccdb_des::{Sim, SimTime};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     fn setup(
         net_delay_ms: u64,
@@ -444,5 +440,73 @@ mod tests {
         }
         sim.run();
         assert_eq!(sender_done_at.get(), SimTime::ZERO, "send is asynchronous");
+    }
+
+    /// A send's slots (the delivery's spawn and hop, its packet hand-offs,
+    /// the deposit) interleave with same-instant spawns and zero holds in
+    /// `(time, seq)` order. The order and per-kind counts below are pinned
+    /// from the earlier layout, in which a boxed service task drew the
+    /// packet train and then spawned the delivery; the hop layout must
+    /// dispatch exactly the same events.
+    #[test]
+    fn send_interleaves_with_same_instant_work_in_a_pinned_order() {
+        use ccdb_des::EventKind;
+        let (sim, net, client, server) = setup(0, 0);
+        sim.enable_profiling();
+        let log = Rc::new(RefCell::new(Vec::<String>::new()));
+        let push = |log: &Rc<RefCell<Vec<String>>>, s: String| log.borrow_mut().push(s);
+        {
+            let (server, log) = (server.clone(), Rc::clone(&log));
+            sim.spawn(async move {
+                for _ in 0..3 {
+                    let m = server.inbox.recv().await;
+                    push(&log, format!("recv-{m}"));
+                }
+            });
+        }
+        {
+            let (env, log) = (sim.env(), Rc::clone(&log));
+            sim.spawn(async move {
+                for i in 0..8 {
+                    push(&log, format!("a{i}"));
+                    env.hold(SimDuration::ZERO).await;
+                }
+            });
+        }
+        net.send(&client, &server, "m1", 0);
+        {
+            let (env, log) = (sim.env(), Rc::clone(&log));
+            sim.spawn(async move {
+                env.hold(SimDuration::ZERO).await;
+                for i in 0..8 {
+                    push(&log, format!("b{i}"));
+                    env.hold(SimDuration::ZERO).await;
+                }
+            });
+        }
+        {
+            let (env, log) = (sim.env(), Rc::clone(&log));
+            let (net, client, server) = (net.clone(), client.clone(), server.clone());
+            sim.spawn(async move {
+                push(&log, "s".into());
+                net.send(&client, &server, "m2", 3 * 4096);
+                let log2 = Rc::clone(&log);
+                env.spawn(async move { push(&log2, "child".into()) });
+                env.hold(SimDuration::ZERO).await;
+                push(&log, "s'".into());
+                net.send(&client, &server, "m3", 0);
+            });
+        }
+        sim.run();
+        assert_eq!(
+            log.borrow().join(" "),
+            "a0 s a1 b0 child s' a2 b1 a3 recv-m1 b2 a4 b3 a5 b4 a6 b5 a7 b6 recv-m3 b7 recv-m2"
+        );
+        let p = sim.profile();
+        let counts: Vec<u64> = EventKind::ALL.iter().map(|k| p.count(*k)).collect();
+        // spawn, hold, facility, pool, mailbox, timer, gate, semaphore,
+        // oneshot, task.
+        assert_eq!(counts, [8, 23, 2, 0, 3, 0, 0, 0, 0, 3]);
+        assert_eq!(sim.now(), SimTime::ZERO);
     }
 }

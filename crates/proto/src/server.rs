@@ -16,12 +16,12 @@
 //! the DES driver is the reference — its run reports are byte-identical to
 //! the pre-extraction implementation.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use ccdb_lock::{
     ClientId, LockStats, Mode, RequestOutcome, RetainPolicy, ShardedLockManager, TxnId, Wake,
 };
-use ccdb_model::{DatabaseSpec, PageId};
+use ccdb_model::{DatabaseSpec, FxHashMap, FxHashSet, PageId};
 
 use crate::algorithm::{Algorithm, Tuning};
 
@@ -74,11 +74,14 @@ pub struct ServerCore {
     /// Committed version of every page (dense, indexed by
     /// [`DatabaseSpec::page_index`]).
     versions: Vec<u64>,
-    /// Which clients have been shipped each page (notification directory).
-    directory: HashMap<PageId, HashSet<ClientId>>,
-    txns: HashMap<TxnId, TxnEntry>,
+    /// Which clients have been shipped each page (notification
+    /// directory): a client bitmask of `dir_words` words per page, dense
+    /// and indexed like `versions`. Insert-only.
+    directory: Vec<u64>,
+    dir_words: usize,
+    txns: FxHashMap<TxnId, TxnEntry>,
     /// Transactions the server has aborted; straggler messages are dropped.
-    aborted: HashSet<TxnId>,
+    aborted: FxHashSet<TxnId>,
 }
 
 impl ServerCore {
@@ -93,6 +96,7 @@ impl ServerCore {
         db: DatabaseSpec,
     ) -> ServerCore {
         let versions = vec![0; db.total_pages() as usize];
+        let dir_words = (n_clients as usize).div_ceil(64);
         ServerCore {
             algorithm,
             tuning,
@@ -100,10 +104,11 @@ impl ServerCore {
             n_clients,
             db,
             lm: ShardedLockManager::new(lock_shards),
+            directory: vec![0; versions.len() * dir_words],
+            dir_words,
             versions,
-            directory: HashMap::new(),
-            txns: HashMap::new(),
-            aborted: HashSet::new(),
+            txns: FxHashMap::default(),
+            aborted: FxHashSet::default(),
         }
     }
 
@@ -228,10 +233,14 @@ impl ServerCore {
     }
 
     /// Record that `page` was shipped to `to` (caching directory) and
-    /// return the shipped version.
+    /// return the shipped version. `to` must be below the core's client
+    /// count.
     pub fn note_shipped(&mut self, to: ClientId, page: PageId) -> u64 {
-        self.directory.entry(page).or_default().insert(to);
-        self.versions[self.db.page_index(page)]
+        let ix = self.db.page_index(page);
+        let c = to.0 as usize;
+        assert!(c < self.n_clients as usize, "{to:?} is not a client");
+        self.directory[ix * self.dir_words + c / 64] |= 1 << (c % 64);
+        self.versions[ix]
     }
 
     /// Count one protocol operation of `txn` as resolved. Returns `true`
@@ -371,7 +380,7 @@ impl ServerCore {
         committer: ClientId,
         dirty: &[PageId],
     ) -> Vec<(ClientId, Vec<PageId>)> {
-        let mut per_client: HashMap<ClientId, Vec<PageId>> = HashMap::new();
+        let mut per_client: FxHashMap<ClientId, Vec<PageId>> = FxHashMap::default();
         if self.tuning.notify_broadcast {
             for c in 0..self.n_clients {
                 let c = ClientId(c);
@@ -381,8 +390,13 @@ impl ServerCore {
             }
         } else {
             for &page in dirty {
-                if let Some(clients) = self.directory.get(&page) {
-                    for &c in clients {
+                let at = self.db.page_index(page) * self.dir_words;
+                let words = &self.directory[at..at + self.dir_words];
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let c = ClientId((w * 64) as u32 + bits.trailing_zeros());
+                        bits &= bits - 1;
                         if c != committer {
                             per_client.entry(c).or_default().push(page);
                         }
@@ -618,5 +632,49 @@ mod tests {
         );
         assert!(c.should_push_updates(&[page(1)]));
         assert!(!c.should_push_updates(&[]));
+    }
+
+    /// The dense directory against a map built from the same shipments:
+    /// 70 clients, so each page's mask spans two words. The committer is
+    /// left out, clients come out ascending, and each client's pages stay
+    /// in `dirty` order.
+    #[test]
+    fn notification_plan_matches_a_map_directory_across_mask_words() {
+        use std::collections::BTreeMap;
+        let n_clients = 70;
+        let mut c = ServerCore::new(
+            Algorithm::NoWait { notify: true },
+            Tuning::default(),
+            true,
+            n_clients,
+            1,
+            ccdb_model::table5_database(),
+        );
+        let mut shipped: BTreeMap<PageId, BTreeSet<ClientId>> = BTreeMap::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..600 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let client = ClientId((state >> 33) as u32 % n_clients);
+            let p = page((state >> 17) as u32 % 40);
+            c.note_shipped(client, p);
+            shipped.entry(p).or_default().insert(client);
+        }
+        // Out of page order, with pages nobody was shipped.
+        let dirty: Vec<PageId> = [31, 2, 17, 45, 0, 39, 8, 47].map(page).to_vec();
+        for committer in [ClientId(0), ClientId(63), ClientId(64), ClientId(69)] {
+            let mut want: BTreeMap<ClientId, Vec<PageId>> = BTreeMap::new();
+            for &p in &dirty {
+                for &client in shipped.get(&p).into_iter().flatten() {
+                    if client != committer {
+                        want.entry(client).or_default().push(p);
+                    }
+                }
+            }
+            let want: Vec<(ClientId, Vec<PageId>)> = want.into_iter().collect();
+            assert!(want.iter().any(|(c, _)| c.0 >= 64), "second word in use");
+            assert_eq!(c.notification_plan(committer, &dirty), want);
+        }
     }
 }

@@ -134,7 +134,7 @@ impl Inner {
             payload,
             ps,
             &mut |page, version, img| {
-                store.install(page, version, img.into());
+                store.install(page, version, img);
             },
         );
         if !payload_ok {
@@ -235,9 +235,9 @@ fn serve_threaded(opts: &ServeOptions) -> io::Result<u64> {
                 active.fetch_add(1, Ordering::SeqCst);
                 let inner = Arc::clone(&inner);
                 let active = Arc::clone(&active);
-                let alg = opts.algorithm;
+                let (alg, clients) = (opts.algorithm, opts.clients);
                 workers.push(thread::spawn(move || {
-                    let result = handle_conn(sock, &inner, alg, page_size);
+                    let result = handle_conn(sock, &inner, alg, page_size, clients);
                     if let Err(e) = result {
                         eprintln!("ccdb-server: connection error: {e}");
                     }
@@ -277,11 +277,18 @@ fn handle_conn(
     inner: &Arc<Mutex<Inner>>,
     algorithm: Algorithm,
     page_size: u32,
+    clients: u32,
 ) -> io::Result<()> {
     sock.set_nodelay(true).ok();
     let mut reader = BufReader::new(sock.try_clone()?);
     let client = match read_frame(&mut reader, page_size)? {
-        Some(Frame::Hello { client }) => client,
+        Some(Frame::Hello { client }) if client < clients => client,
+        Some(Frame::Hello { client }) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("client {client} is outside the configured {clients} clients"),
+            ))
+        }
         Some(_) | None => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -19,12 +19,12 @@
 //! by global `seq`, and zero diffs mean the server made byte-for-byte
 //! the decisions the simulator would have made.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ccdb_lock::{page_shard, ClientId};
 use ccdb_model::{DatabaseSpec, PageId};
 use ccdb_proto::{Algorithm, ReplyKind, ServerCore, Tuning, C2S, S2C};
-use ccdb_storage::{page_image, PageStore};
+use ccdb_storage::{verify_page_image, PageStore};
 
 use crate::codec::{encode_frame_with_payload, Frame};
 use crate::engine::{Decision, Effects, Engine};
@@ -48,18 +48,19 @@ pub fn shard_of_msg(msg: Option<&C2S>, shards: u32) -> Option<u32> {
     }
 }
 
-/// Verify a commit's dirty-page images against their expected bytes and
-/// hand each faithful image to `install` iff the commit actually
-/// installed in this step. Returns false on any byte mismatch (the
-/// message still took effect — the engine already decided — but the
-/// server flags the corruption). Shared by [`ShardedEngine::render`] and
-/// the threaded server.
+/// Verify a commit's dirty-page images against their expected bytes (in
+/// place, without building an image) and hand each faithful image to
+/// `install` iff the commit actually installed in this step; the
+/// installed copy is the one copy out of the payload. Returns false on
+/// any byte mismatch (the message still took effect — the engine already
+/// decided — but the server flags the corruption). Shared by
+/// [`ShardedEngine::render`] and the threaded server.
 pub(crate) fn verify_install_commit(
     msg: Option<&C2S>,
     eff: &Effects,
     payload: &[u8],
     page_size: u32,
-    install: &mut dyn FnMut(PageId, u64, Vec<u8>),
+    install: &mut dyn FnMut(PageId, u64, Arc<[u8]>),
 ) -> bool {
     let Some(C2S::Commit { txn, dirty, .. }) = msg else {
         return true;
@@ -75,12 +76,11 @@ pub(crate) fn verify_install_commit(
     let ps = page_size as usize;
     let mut ok = true;
     for (i, page) in dirty.iter().enumerate() {
-        let img = page_image(*page, version, ps);
         let got = payload.get(i * ps..(i + 1) * ps).unwrap_or(&[]);
-        if got != img.as_slice() {
+        if !verify_page_image(*page, version, got) {
             ok = false;
         } else if installed {
-            install(*page, version, img);
+            install(*page, version, Arc::from(got));
         }
     }
     ok
@@ -94,7 +94,7 @@ pub(crate) fn encode_send(
     m: &S2C,
     page: Option<PageId>,
     page_size: u32,
-    read: &mut dyn FnMut(PageId, u64) -> std::sync::Arc<[u8]>,
+    read: &mut dyn FnMut(PageId, u64) -> Arc<[u8]>,
 ) -> Vec<u8> {
     match m {
         S2C::Reply {
@@ -270,7 +270,7 @@ impl ShardedEngine {
                 self.store(page)
                     .lock()
                     .expect("store poisoned")
-                    .install(page, version, img.into());
+                    .install(page, version, img);
             },
         );
         let mut outs = Vec::with_capacity(step.eff.sends.len());
@@ -308,7 +308,7 @@ mod tests {
     use super::*;
     use ccdb_lock::{Mode, TxnId};
     use ccdb_model::{table5_database, ClassId};
-    use ccdb_storage::verify_page_image;
+    use ccdb_storage::page_image;
 
     fn page(atom: u32) -> PageId {
         PageId {

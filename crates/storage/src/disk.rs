@@ -8,10 +8,10 @@
 //! caller on the appropriate CPU facility, not here.
 //!
 //! Each access's *send part* — the seek/clustering variate draws and the
-//! block-train arithmetic — runs as a service task (`Env::service`) on a
-//! split RNG stream of its own (stream id = the disk's access counter at
-//! submission), in the task's own calendar slot; only the FCFS queue visit
-//! itself stays in the process.
+//! block-train arithmetic — runs at a service slot (`Env::service`: a
+//! same-instant hop, the draws, a second hop) on a split RNG stream of its
+//! own (stream id = the disk's access counter at submission), then the
+//! process queues at the FCFS facility. A disk access allocates nothing.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -62,7 +62,7 @@ impl Disk {
 
     /// Split a fresh RNG stream for one access, drawn from the disk's
     /// parent stream in submission order; the access's variates then
-    /// consume only its own stream, wherever its service task's slot falls.
+    /// consume only its own stream, wherever its service slot falls.
     fn split_access_rng(&self) -> Pcg32 {
         let ix = self.accesses.get();
         self.accesses.set(ix + 1);
@@ -91,8 +91,8 @@ impl Disk {
     ///
     /// Adjacency is decided at submission time; interleaved requests
     /// from other transactions break runs, exactly as a real arm would be
-    /// stolen away. The clustering and seek draws run in the access's
-    /// service task, on its own stream.
+    /// stolen away. The clustering and seek draws run at the access's
+    /// service slot, on its own stream.
     pub async fn access_page(&self, page: PageId, cluster_factor: f64) {
         let adjacent = {
             let mut last = self.last_page.borrow_mut();
@@ -120,7 +120,8 @@ impl Disk {
 
     /// Service several blocks in one queue visit (e.g. a multi-page log
     /// force): one seek (unless sequential) plus `blocks` transfers. The
-    /// block-train arithmetic is a service task too, like the seek draws.
+    /// block-train arithmetic runs at a service slot too, like the seek
+    /// draws.
     pub async fn access_many(&self, blocks: u64, sequential: bool) {
         if blocks == 0 {
             return;

@@ -107,7 +107,7 @@ impl LogManager {
     /// (after-images) plus one for the commit record itself. Returns after
     /// the force completes. A read-only transaction writes just the commit
     /// record. The force rides [`Disk::access_many`], so the block-train
-    /// computation runs as a service task.
+    /// computation runs at a service slot.
     ///
     /// [`Disk::access_many`]: crate::Disk::access_many
     pub async fn force_commit(&self, txn: u64, pages_updated: u64) {

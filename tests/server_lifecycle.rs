@@ -86,6 +86,41 @@ fn port_file_publishes_atomically() {
     }
 }
 
+/// A `Hello` naming a client outside the configured count is refused by
+/// both servers: the connection closes without a `HelloAck`, before the
+/// engine can see the id, and `--once` still exits cleanly.
+#[test]
+fn out_of_range_client_is_refused() {
+    for threaded in [false, true] {
+        let dir = temp_dir(&format!("range-{threaded}"));
+        let port_file = dir.join("port");
+        let mut sopts = ServeOptions::new(Algorithm::Callback);
+        sopts.clients = 2;
+        sopts.once = true;
+        sopts.port_file = Some(port_file.clone());
+        sopts.threaded = threaded;
+        let server = thread::spawn(move || serve(&sopts));
+        let port = await_port(&port_file);
+
+        let mut sock = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+        sock.write_all(&encode_frame(&Frame::Hello { client: 2 }, 0))
+            .expect("send hello");
+        let mut reader = BufReader::new(sock.try_clone().expect("clone sock"));
+        let reply = read_frame_with_payload(&mut reader, 0);
+        assert!(
+            matches!(reply, Ok(None) | Err(_)),
+            "threaded={threaded}: expected the connection closed, got {reply:?}"
+        );
+        drop(sock);
+        let commits = server
+            .join()
+            .expect("server thread panicked")
+            .expect("serve failed");
+        assert_eq!(commits, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A client that feeds the reactor one byte at a time still gets a
 /// complete handshake and page ship, and `--once` exits only after the
 /// in-flight reply has fully drained to the socket.
